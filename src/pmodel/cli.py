@@ -31,6 +31,22 @@ from typing import Optional, TextIO
 from . import formal, frep, gardenpath, lexicon, pipeline, sstring
 from .errors import PmodelError
 
+# The exceptions a command raises on bad input; each exits 1 with one line.
+_INPUT_ERRORS = (PmodelError, OSError, KeyError, ValueError, TypeError)
+
+
+def _report(exc: Exception) -> int:
+    """Print the one `error:` line for an _INPUT_ERRORS exception; exit code 1."""
+    if isinstance(exc, (PmodelError, OSError)):
+        detail = str(exc)
+    elif isinstance(exc, json.JSONDecodeError):
+        detail = f"invalid JSON: {exc}"
+    else:
+        detail = f"malformed input: {exc!r}"
+    print(f"error: {detail}", file=sys.stderr)
+    return 1
+
+
 # ------------------------------------------------------------------ formal
 
 
@@ -236,9 +252,8 @@ def _run_case(argv: list[str]) -> tuple[int, str]:
         code = args.func(args, out)
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), out.getvalue()
-    except (PmodelError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1, out.getvalue()
+    except _INPUT_ERRORS as exc:
+        return _report(exc), out.getvalue()
     return code, out.getvalue()
 
 
@@ -369,15 +384,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (PmodelError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 1
-    except (KeyError, ValueError, TypeError) as exc:
-        print(f"error: malformed input: {exc!r}", file=sys.stderr)
-        return 1
+    except _INPUT_ERRORS as exc:
+        return _report(exc)
 
 
 if __name__ == "__main__":

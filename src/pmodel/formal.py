@@ -21,9 +21,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .errors import PmodelError
+
+# Deepest nesting parse_formula accepts. Each quantifier, query, negation and
+# opening parenthesis is one level. The parser and the recursive functions
+# of this module (rendering, rewriting, evaluation) use about one interpreter
+# frame per level, so parsed formulas stay well inside Python's default
+# recursion limit of 1000. render_formula writes a negation of a non-binary
+# body as "!(...)", two levels, so a formula built in code more than
+# MAX_NESTING // 2 levels deep may render to text the parser refuses.
+MAX_NESTING = 200
 
 _VARIABLE_RE = re.compile(r"[a-z][0-9]*\Z")
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
@@ -397,22 +406,24 @@ class _Parser:
             raise FormulaSyntaxError(f"{tok.text!r} is not a variable", tok.offset, ("a variable",))
         return tok.text
 
-    def formula(self) -> Formula:
+    def formula(self, depth: int = 0) -> Formula:
         tok = self.peek()
+        if depth > MAX_NESTING:
+            raise FormulaSyntaxError(f"formula nested deeper than {MAX_NESTING} levels", tok.offset)
         if tok.kind == "ident" and tok.text in ("forall", "exists"):
             self.take()
             v = self.variable()
             self.expect(".", "'.'")
-            body = self.formula()
+            body = self.formula(depth + 1)
             return Forall(v, body) if tok.text == "forall" else Exists(v, body)
         if tok.kind == "ident" and tok.text == "wh":
             self.take()
             v = self.variable()
             self.expect(".", "'.'")
             self.expect("(", "'('")
-            restrictor = self.formula()
+            restrictor = self.formula(depth + 1)
             self.expect(",", "','")
-            body = self.formula()
+            body = self.formula(depth + 1)
             self.expect(")", "')'")
             return WhQuery(v, restrictor, body)
         if tok.kind == "ident" and tok.text == "prob":
@@ -429,16 +440,16 @@ class _Parser:
             return ProbAssertion(event, Fraction(int(num.text), int(den.text)))
         if tok.kind == "!":
             self.take()
-            return Not(self.formula())
+            return Not(self.formula(depth + 1))
         if tok.kind == "(":
             self.take()
-            left = self.formula()
+            left = self.formula(depth + 1)
             nxt = self.peek()
             if nxt.kind == ")":
                 self.take()
                 return left
             op = self.binop()
-            right = self.formula()
+            right = self.formula(depth + 1)
             self.expect(")", "')'")
             return op(left, right)
         return self.atom()
@@ -547,16 +558,29 @@ def formula_from_json(data: Mapping) -> Formula:
 # -------------------------------------------------------------- evaluation
 
 
-def _entity(t: Term, m: Model, assignment: Mapping[str, str]) -> str:
+_UNBOUND = object()
+
+
+def _entity(t: Term, m: Model, env: dict) -> Callable[[], str]:
+    """A thunk for the entity t denotes; its error waits for the call."""
+    name = t.name
     if t.kind == "variable":
-        try:
-            return assignment[t.name]
-        except KeyError:
-            raise UnboundVariable(t.name) from None
-    try:
-        return m.constants[t.name]
-    except KeyError:
-        raise UninterpretedSymbol(t.name) from None
+
+        def variable():
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundVariable(name) from None
+
+        return variable
+    if name in m.constants:
+        e = m.constants[name]
+        return lambda: e
+
+    def uninterpreted():
+        raise UninterpretedSymbol(name)
+
+    return uninterpreted
 
 
 def evaluate(f: Formula, m: Model, assignment: Optional[Mapping[str, str]] = None) -> bool:
@@ -566,49 +590,99 @@ def evaluate(f: Formula, m: Model, assignment: Optional[Mapping[str, str]] = Non
     true iff some domain element satisfies restrictor and body together.
     Probability assertions are exact comparisons against the model's event
     map. Propositional atoms read their truth value from the assignment.
+
+    Each call sorts the domain once and turns f into nested closures, one per
+    node, over a private copy of the assignment; the caller's mapping is never
+    changed and nothing outlives the call. A quantifier binds its variable in
+    that copy and restores the outer value on exit. Connectives short-circuit
+    left to right, and UninterpretedSymbol, UnboundVariable and UnsupportedNode
+    are raised only on the paths that are evaluated, in evaluation order.
     """
-    a = dict(assignment or {})
-    match f:
-        case Atom(name):
-            if name in a:
-                return bool(a[name])
-            raise UninterpretedSymbol(name)
-        case Membership(subject, predicate, None):
-            e = _entity(subject, m, a)
-            if predicate not in m.predicates:
-                raise UninterpretedSymbol(predicate)
-            return e in m.predicates[predicate]
-        case Membership(subject, predicate, obj):
-            pair = (_entity(subject, m, a), _entity(obj, m, a))
-            if predicate not in m.relations:
-                raise UninterpretedSymbol(predicate)
-            return pair in m.relations[predicate]
-        case Not(body):
-            return not evaluate(body, m, a)
-        case And(left, right):
-            return evaluate(left, m, a) and evaluate(right, m, a)
-        case Or(left, right):
-            return evaluate(left, m, a) or evaluate(right, m, a)
-        case Implies(left, right):
-            return (not evaluate(left, m, a)) or evaluate(right, m, a)
-        case Sheffer(left, right):
-            return not (evaluate(left, m, a) and evaluate(right, m, a))
-        case Pierce(left, right):
-            return not (evaluate(left, m, a) or evaluate(right, m, a))
-        case Forall(v, body):
-            return all(evaluate(body, m, {**a, v: e}) for e in sorted(m.domain))
-        case Exists(v, body):
-            return any(evaluate(body, m, {**a, v: e}) for e in sorted(m.domain))
-        case WhQuery(v, restrictor, body):
-            return any(
-                evaluate(restrictor, m, {**a, v: e}) and evaluate(body, m, {**a, v: e})
-                for e in sorted(m.domain)
-            )
-        case ProbAssertion(event, p):
-            if event not in m.event_probs:
-                raise UninterpretedSymbol(event)
-            return m.event_probs[event] == p
-    raise UnsupportedNode(type(f).__name__)
+    env = dict(assignment or {})
+    domain = sorted(m.domain)
+
+    def build(g: Formula) -> Callable[[], bool]:
+        t = type(g)
+        if t is Membership:
+            subject = _entity(g.subject, m, env)
+            if g.obj is None:
+                ext, read = m.predicates.get(g.predicate), subject
+            else:
+                obj = _entity(g.obj, m, env)
+                ext = m.relations.get(g.predicate)
+                read = lambda: (subject(), obj())
+            if ext is None:
+
+                def uninterpreted():
+                    read()
+                    raise UninterpretedSymbol(g.predicate)
+
+                return uninterpreted
+            if g.obj is None:
+                return lambda: subject() in ext
+            return lambda: (subject(), obj()) in ext
+        if t is Not:
+            body = build(g.body)
+            return lambda: not body()
+        if t in _BINARY:
+            left, right = build(g.left), build(g.right)
+            if t is And:
+                return lambda: left() and right()
+            if t is Or:
+                return lambda: left() or right()
+            if t is Implies:
+                return lambda: (not left()) or right()
+            if t is Sheffer:
+                return lambda: not (left() and right())
+            return lambda: not (left() or right())
+        if t is Forall or t is Exists or t is WhQuery:
+            v, body = g.variable, build(g.body)
+            if t is WhQuery:
+                restrictor, scope = build(g.restrictor), body
+                body = lambda: restrictor() and scope()
+            # Forall stops at the first false body, Exists and WhQuery at the first true
+            stop = t is not Forall
+
+            def quantifier():
+                outer = env.get(v, _UNBOUND)
+                try:
+                    for e in domain:
+                        env[v] = e
+                        if body() is stop:
+                            return stop
+                    return not stop
+                finally:
+                    if outer is _UNBOUND:
+                        del env[v]
+                    else:
+                        env[v] = outer
+
+            return quantifier
+        if t is Atom:
+            name = g.name
+
+            def atom():
+                if name in env:
+                    return bool(env[name])
+                raise UninterpretedSymbol(name)
+
+            return atom
+        if t is ProbAssertion:
+            if g.event in m.event_probs:
+                truth = m.event_probs[g.event] == g.p
+                return lambda: truth
+
+            def uninterpreted_event():
+                raise UninterpretedSymbol(g.event)
+
+            return uninterpreted_event
+
+        def unsupported():
+            raise UnsupportedNode(t.__name__)
+
+        return unsupported
+
+    return build(f)()
 
 
 # ------------------------------------------------------------ free variables
@@ -753,33 +827,46 @@ def to_sheffer(f: Formula) -> Formula:
 
     Quantifier structure and atoms pass through untouched; Pierce input is
     rejected (its dual expansion is not part of this rewriting system).
+
+    f is read as a DAG: a subterm object that occurs several times in f is
+    rewritten once and its rewrite is shared in the output, so the work is
+    linear in the distinct nodes of f, not in the size of its tree. The memo
+    is keyed by node identity and lives for one call only; nothing is cached
+    across calls.
     """
-    match f:
-        case Atom() | Membership() | ProbAssertion():
-            return f
-        case Not(body):
-            inner = to_sheffer(body)
-            return Sheffer(inner, inner)
-        case And(left, right):
-            once = Sheffer(to_sheffer(left), to_sheffer(right))
-            return Sheffer(once, once)
-        case Or(left, right):
-            a, b = to_sheffer(left), to_sheffer(right)
-            return Sheffer(Sheffer(a, a), Sheffer(b, b))
-        case Implies(left, right):
-            a, b = to_sheffer(left), to_sheffer(right)
-            return Sheffer(a, Sheffer(b, b))
-        case Sheffer(left, right):
-            return Sheffer(to_sheffer(left), to_sheffer(right))
-        case Forall(v, body):
-            return Forall(v, to_sheffer(body))
-        case Exists(v, body):
-            return Exists(v, to_sheffer(body))
-        case WhQuery(v, restrictor, body):
-            return WhQuery(v, to_sheffer(restrictor), to_sheffer(body))
-        case Pierce():
-            raise UnsupportedNode("Pierce")
-    raise UnsupportedNode(type(f).__name__)
+    done: dict[int, Formula] = {}
+
+    def rewrite(g: Formula) -> Formula:
+        t = type(g)
+        if t is Atom or t is Membership or t is ProbAssertion:
+            return g
+        out = done.get(id(g))
+        if out is not None:
+            return out
+        if t is And:
+            once = Sheffer(rewrite(g.left), rewrite(g.right))
+            out = Sheffer(once, once)
+        elif t is Or:
+            a, b = rewrite(g.left), rewrite(g.right)
+            out = Sheffer(Sheffer(a, a), Sheffer(b, b))
+        elif t is Implies:
+            a, b = rewrite(g.left), rewrite(g.right)
+            out = Sheffer(a, Sheffer(b, b))
+        elif t is Not:
+            inner = rewrite(g.body)
+            out = Sheffer(inner, inner)
+        elif t is Sheffer:
+            out = Sheffer(rewrite(g.left), rewrite(g.right))
+        elif t is Forall or t is Exists:
+            out = t(g.variable, rewrite(g.body))
+        elif t is WhQuery:
+            out = WhQuery(g.variable, rewrite(g.restrictor), rewrite(g.body))
+        else:
+            raise UnsupportedNode(t.__name__)
+        done[id(g)] = out
+        return out
+
+    return rewrite(f)
 
 
 # ----------------------------------------------------------- canonical form

@@ -31,6 +31,14 @@ def test_domain_errors_exit_1():
     assert code == 1 and "error:" in err
 
 
+def test_deep_nesting_exits_1_with_one_error_line():
+    for verb in ("parse", "sheffer"):
+        code, out, err = run_cli("formal", verb, "!" * 3000 + "p")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "nested deeper" in err
+        assert len(err.splitlines()) == 1
+
+
 def test_malformed_model_json_exits_1(tmp_path):
     bad = tmp_path / "model.json"
     bad.write_text("{not json")
@@ -163,3 +171,20 @@ def test_corpus_diff_and_missing(tmp_path, corpus_dir):
     # --update heals both, after which the run is clean again
     assert run_cli("corpus", "run", "--dir", str(work), "--update")[0] == 0
     assert run_cli("corpus", "run", "--dir", str(work))[0] == 0
+
+
+def test_corpus_run_reports_a_malformed_case_and_runs_the_rest(tmp_path, corpus_dir):
+    work = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, work)
+    frep = json.loads((work / "jones-saw-everyone.frep").read_text())
+    frep["lexical"] = 5
+    (work / "bad-lexical.frep").write_text(json.dumps(frep))
+    with open(work / "cases.tsv", "a", encoding="utf-8") as fh:
+        fh.write("frep-validate-bad-lexical\tfrep\tvalidate\t$DIR/bad-lexical.frep\n")
+    code, out, err = run_cli("corpus", "run", "--dir", str(work))
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL frep-validate-bad-lexical (exit 1)" in lines
+    assert sum(line.startswith("ok ") for line in lines) == 33
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: malformed input: TypeError")

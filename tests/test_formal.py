@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmodel.formal import (
+    MAX_NESTING,
     And,
     Atom,
     Exists,
@@ -28,6 +29,7 @@ from pmodel.formal import (
     Pierce,
     ProbAssertion,
     Sheffer,
+    UnboundVariable,
     UninterpretedSymbol,
     UnsupportedNode,
     WhQuery,
@@ -166,6 +168,18 @@ def test_syntax_errors(bad):
         parse_formula(bad)
 
 
+def test_nesting_limit():
+    deepest = "!" * MAX_NESTING + "p"
+    f = parse_formula(deepest)
+    # the recursive functions handle the deepest formula the parser accepts
+    assert render_formula(f) == "!(" * MAX_NESTING + "p" + ")" * MAX_NESTING
+    assert _dag_mask(to_sheffer(f), {}) == 0b10  # an even number of negations
+    assert evaluate(f, DUMMY, {"p": True}) is True
+    for text in ("!" + deepest, "(" * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1)):
+        with pytest.raises(FormulaSyntaxError, match="nested deeper"):
+            parse_formula(text)
+
+
 def test_syntax_error_carries_offset():
     with pytest.raises(FormulaSyntaxError) as exc:
         parse_formula("(p &")
@@ -228,8 +242,47 @@ def test_sheffer_passes_quantifiers_through():
 
 
 def test_sheffer_rejects_pierce():
-    with pytest.raises(UnsupportedNode):
+    with pytest.raises(UnsupportedNode, match="does not accept Pierce nodes"):
         to_sheffer(Pierce(P, Q))
+    with pytest.raises(UnsupportedNode, match="does not accept Pierce nodes"):
+        to_sheffer(And(P, Not(Pierce(P, Q))))
+
+
+def _distinct_nodes(f, seen=None) -> set[int]:
+    seen = set() if seen is None else seen
+    if id(f) not in seen:
+        seen.add(id(f))
+        for kid in ("left", "right", "body", "restrictor"):
+            if hasattr(f, kid):
+                _distinct_nodes(getattr(f, kid), seen)
+    return seen
+
+
+def _dag_mask(f, memo) -> int:
+    """truth_table over p alone, walking each shared node once."""
+    if id(f) not in memo:
+        if isinstance(f, Atom):
+            memo[id(f)] = 0b10
+        else:
+            memo[id(f)] = 0b11 ^ (_dag_mask(f.left, memo) & _dag_mask(f.right, memo))
+    return memo[id(f)]
+
+
+def test_sheffer_rewrites_each_shared_subterm_once():
+    depth = 16
+    chain = P
+    for _ in range(depth):
+        chain = And(chain, chain)  # a tree of 2**17 - 1 nodes, 17 distinct ones
+    out = to_sheffer(chain)
+    # plain values only: an assertion message that printed `out` would
+    # render a tree of 2**33 nodes
+    distinct, mask = len(_distinct_nodes(out)), _dag_mask(out, {})
+    assert distinct <= 2 * depth + 1
+    assert mask == 0b10  # (c & c) is c
+    # a shared subterm keeps one rewrite; nothing is reused by the next call
+    shared_once = out.left.left is out.left.right
+    rebuilt = to_sheffer(chain).left.left is not out.left.left
+    assert shared_once and rebuilt
 
 
 def _only_sheffer_connectives(f) -> bool:
@@ -301,6 +354,8 @@ def test_evaluate_matches_first_order_oracle_on_all_tiny_models():
         parse_formula("forall x. (x in H -> J S x)"),
         parse_formula("exists y. forall x. ((x in H & y in H) -> x S y)"),
         parse_formula("forall x. exists y. (x S y v !(y in H))"),
+        # the inner binder shadows x; the outer x is restored for `x S x`
+        parse_formula("forall x. ((exists x. x in H) & x S x)"),
     ]
     for domain, h, s in all_small_models(2):
         m = Model(
@@ -312,6 +367,26 @@ def test_evaluate_matches_first_order_oracle_on_all_tiny_models():
         for f in fs:
             want = fo_eval(f, domain, {"H": h}, {"S": s}, {"J": domain[0]}, {})
             assert evaluate(f, m) == want
+
+
+def test_evaluate_is_lazy_and_keeps_the_assignment():
+    env = {"p": True}
+    # q has no value, but the disjunction is settled before q is reached
+    assert evaluate(parse_formula("(p v q)"), DUMMY, env) is True
+    assert env == {"p": True}
+    with pytest.raises(UninterpretedSymbol):
+        evaluate(parse_formula("(q v p)"), DUMMY, env)
+    m = Model(domain=frozenset({"a", "b"}), predicates={"H": frozenset({"a"})})
+    bound = {"x": "b"}
+    assert evaluate(parse_formula("(exists x. x in H & !(x in H))"), m, bound) is True
+    assert bound == {"x": "b"}
+    # the subject is resolved before the predicate, left before right
+    with pytest.raises(UnboundVariable):
+        evaluate(parse_formula("y in L"), m)
+    with pytest.raises(UninterpretedSymbol, match="'L'"):
+        evaluate(parse_formula("forall x. (x in L & y in H)"), m)
+    with pytest.raises(UnboundVariable, match="'y'"):
+        evaluate(parse_formula("exists x. (!(x in H) & y in H)"), m)
 
 
 def test_wh_query_is_answerability():
