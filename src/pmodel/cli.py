@@ -23,7 +23,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from importlib import resources
 from typing import Optional, TextIO
@@ -262,20 +261,10 @@ def _cmd_corpus_run(args, out: TextIO) -> int:
     cases = _load_cases(os.path.join(directory, "cases.tsv"))
     golden_dir = os.path.join(directory, "golden")
 
-    def run(case):
-        name, argv = case
-        argv = [a.replace("$DIR", directory) for a in argv]
-        return name, _run_case(argv)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, cases))
-    else:
-        results = [run(c) for c in cases]
-
     failures = 0
     os.makedirs(golden_dir, exist_ok=True)
-    for name, (code, text) in results:
+    for name, argv in cases:
+        code, text = _run_case([a.replace("$DIR", directory) for a in argv])
         golden_path = os.path.join(golden_dir, name + ".txt")
         if code != 0:
             failures += 1
@@ -372,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     corpus_sub = p_corpus.add_subparsers(dest="subcommand", required=True)
     p = corpus_sub.add_parser("run", help="execute every case and diff")
     p.add_argument("--dir", help="corpus directory (default: packaged)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel case runners")
     p.add_argument("--update", action="store_true", help="rewrite golden files")
     p.set_defaults(func=_cmd_corpus_run)
 

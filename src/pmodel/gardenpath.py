@@ -102,12 +102,6 @@ def render_tree(t: ParseTree) -> str:
     return "(" + " ".join([t.label] + [render_tree(c) for c in t.children]) + ")"
 
 
-def tree_to_json(t: ParseTree) -> dict:
-    if t.word is not None:
-        return {"label": t.label, "word": t.word}
-    return {"label": t.label, "children": [tree_to_json(c) for c in t.children]}
-
-
 def tree_to_dot(t: ParseTree) -> str:
     lines = ["digraph parsetree {", "  node [shape=plaintext];"]
     counter = [0]

@@ -6,10 +6,13 @@ order and never reordered:
 
   access     every entry whose form starts with the clean prefix (the part
              before the first ``#``), case-insensitive; the cohort is kept
-             sorted by descending frequency then form
+             sorted by descending frequency then form. Cost: two bisections
+             of the lexicon's sorted casefolded forms, then ordering the
+             range found
   select     rank the cohort by edit distance to the full observed token;
              ties fall to higher frequency, then alphabetical form, then
-             category
+             category. Cost: one bit-parallel pass per member, one step per
+             character of its form, with the token's bit masks built once
   integrate  a stable filter by expected syntactic category; context acts
              only after selection and never reorders it
 
@@ -23,13 +26,19 @@ entries recovered so far.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from operator import itemgetter
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import PmodelError
 from .frep import CATEGORIES
 
 _FORM_RE = re.compile(r"[A-Za-z][A-Za-z'-]*")
+# Appended to a prefix, sorts after every casefolded form that starts with
+# it, since forms are ASCII (_FORM_RE).
+_PAST_PREFIX = "\U0010ffff"
 
 Ranked = tuple[tuple["LexEntry", int], ...]
 
@@ -78,8 +87,39 @@ class Lexicon:
             seen.add(key)
 
     def lookup(self, form: str) -> tuple[LexEntry, ...]:
+        """Every entry spelled `form` up to case, in file order."""
+        index = self._index
         needle = form.casefold()
-        return tuple(e for e in self.entries if e.form.casefold() == needle)
+        lo = bisect_left(index.folds, needle)
+        hi = bisect_right(index.folds, needle, lo)
+        return tuple(index.ordered[r] for r in index.ranks[lo:hi])
+
+    @cached_property
+    def _index(self) -> _Index:
+        # Depends on the entries alone, never on a query. Built on first use
+        # rather than in __post_init__, so loading a lexicon that is never
+        # searched stays cheap. Not a field: it takes no part in ==, hash or
+        # repr.
+        entries = self.entries
+        folds = [e.form.casefold() for e in entries]
+        order = sorted(range(len(entries)), key=lambda i: _cohort_key(entries[i]))
+        rank = [0] * len(entries)
+        for r, i in enumerate(order):
+            rank[i] = r
+        by_fold = sorted(range(len(entries)), key=folds.__getitem__)  # stable: file order
+        return _Index(
+            ordered=tuple(entries[i] for i in order),
+            folds=[folds[i] for i in by_fold],
+            ranks=[rank[i] for i in by_fold],
+        )
+
+
+class _Index(NamedTuple):
+    """A lexicon's entries arranged for prefix and exact-form search."""
+
+    ordered: tuple[LexEntry, ...]  # cohort order (_cohort_key)
+    folds: list[str]  # casefolded forms, sorted; equal forms in file order
+    ranks: list[int]  # the position in `ordered` of each fold's entry
 
 
 def load_lexicon(path) -> Lexicon:
@@ -120,36 +160,77 @@ class Cohort:
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(sorted(self.members, key=_cohort_key)))
 
+    @classmethod
+    def _ordered(cls, prefix: str, members: tuple[LexEntry, ...]) -> Cohort:
+        """A cohort of members already in cohort order, which it keeps as is."""
+        cohort = object.__new__(cls)
+        object.__setattr__(cohort, "prefix", prefix)
+        object.__setattr__(cohort, "members", members)
+        return cohort
+
+
+def _masks(needle: str) -> dict[str, int]:
+    """For each character, the bit set of its positions in `needle`."""
+    masks: dict[str, int] = {}
+    for i, c in enumerate(needle):
+        masks[c] = masks.get(c, 0) | 1 << i
+    return masks
+
+
+def _distance(masks: dict[str, int], m: int, text: str) -> int:
+    """Levenshtein distance from the length-`m` needle of `masks` to `text`.
+
+    Myers' (1999) bit-vector algorithm in Hyyrö's (2001) form for global
+    distance: `pv`/`mv` hold the +1/-1 vertical deltas of the current
+    dynamic-programming column, one bit per needle position, in an int of
+    any width. The last column then sums to the distance.
+    """
+    full = (1 << m) - 1
+    pv, mv = full, 0
+    get = masks.get
+    for c in text:
+        eq = get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) << 1 | 1  # row 0 rises by one per column
+        pv = ((pv & xh) << 1 | ~(xv | ph)) & full
+        mv = ph & xv
+    return len(text) + pv.bit_count() - mv.bit_count()
+
 
 def edit_distance(a: str, b: str) -> int:
     """Levenshtein distance, unit costs."""
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    return _distance(_masks(a), len(a), b)
 
 
 def access(lexicon: Lexicon, prefix: str) -> Cohort:
-    """Entries activated by an initial grapheme sequence."""
+    """Entries activated by an initial grapheme sequence.
+
+    Two bisections of the lexicon's sorted casefolded forms find the range
+    of forms with this prefix; only that range is put in cohort order. An
+    empty prefix takes the whole lexicon, kept in cohort order since first use.
+    """
+    index = lexicon._index
     needle = prefix.casefold()
-    return Cohort(
-        prefix, tuple(e for e in lexicon.entries if e.form.casefold().startswith(needle))
-    )
+    if not needle:
+        return Cohort._ordered(prefix, index.ordered)
+    lo = bisect_left(index.folds, needle)
+    hi = bisect_left(index.folds, needle + _PAST_PREFIX, lo)
+    return Cohort._ordered(prefix, tuple(index.ordered[r] for r in sorted(index.ranks[lo:hi])))
 
 
 def select(cohort: Cohort, observed: str) -> Ranked:
     """Rank the cohort by fit to the observed token, nearest first.
 
     ``#`` matches no grapheme, so every corrupted position costs one edit.
+    The token's bit masks are built once; each member then costs one
+    bit-parallel pass over its form. Members arrive in cohort order, so a
+    stable sort on distance alone breaks ties by frequency, form, category.
     """
     needle = observed.casefold()
-    ranked = [(e, edit_distance(needle, e.form.casefold())) for e in cohort.members]
-    ranked.sort(key=lambda pair: (pair[1], _cohort_key(pair[0])))
+    masks, m = _masks(needle), len(needle)
+    ranked = [(e, _distance(masks, m, e.form.casefold())) for e in cohort.members]
+    ranked.sort(key=itemgetter(1))
     return tuple(ranked)
 
 

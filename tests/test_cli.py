@@ -147,12 +147,6 @@ def test_corpus_run_passes(corpus_dir):
     assert all(line.startswith("ok ") for line in lines)
 
 
-def test_corpus_run_parallel_matches_serial(corpus_dir):
-    serial = run_cli("corpus", "run", "--dir", str(corpus_dir))
-    parallel = run_cli("corpus", "run", "--dir", str(corpus_dir), "--jobs", "4")
-    assert parallel == serial
-
-
 def test_corpus_dir_env_var(corpus_dir, monkeypatch):
     monkeypatch.setenv("PMODEL_CORPUS_DIR", str(corpus_dir))
     code, out, _ = run_cli("corpus", "run")

@@ -1,8 +1,10 @@
 """Word recognition: edit distance, cohort access, selection, integration.
 
 The distance oracle below is the textbook recursive Levenshtein definition,
-memoized but otherwise untouched, so the package's iterative version is
-checked against an independent formulation.
+memoized but otherwise untouched, so the package's bit-parallel version is
+checked against an independent formulation. The stages are checked the same
+way against plain references: a linear scan for access and the oracle's
+distances, fully sorted, for select.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR
@@ -74,6 +76,134 @@ def test_edit_distance_symmetry_and_identity(a, b):
     assert (edit_distance(a, b) == 0) == (a == b)
 
 
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ("", ""),
+        ("", "abc"),
+        ("abc", ""),
+        ("aaaa", "aa"),
+        ("abcabc", "cbacba"),
+        ("a" * 70, "a" * 64),  # needle longer than 64 characters
+        ("a" * 64 + "b" + "a" * 5, "a" * 70),  # mismatch on bit 64
+        ("ab" * 35, "ba" * 35),
+        ("x" + "a" * 80, "a" * 80 + "x"),
+        ("#" * 66, "a" * 66),
+        ("kitten" * 12, "sitting" * 11),
+    ],
+)
+def test_edit_distance_kernel_edges(a, b):
+    assert edit_distance(a, b) == lev(a, b)
+    assert edit_distance(b, a) == lev(a, b)
+
+
+# ---------------------------------------------- stages against references
+
+
+def ref_cohort_key(e):
+    return (-e.frequency, e.form, e.category)
+
+
+def ref_access(lexicon, prefix):
+    needle = prefix.casefold()
+    hits = [e for e in lexicon.entries if e.form.casefold().startswith(needle)]
+    return tuple(sorted(hits, key=ref_cohort_key))
+
+
+def ref_select(members, observed):
+    needle = observed.casefold()
+    ranked = [(e, lev(needle, e.form.casefold())) for e in members]
+    return tuple(sorted(ranked, key=lambda pair: (pair[1], ref_cohort_key(pair[0]))))
+
+
+def ref_recognize(lexicon, tokens, expected_per_slot, threshold):
+    """The entries recognized, and the slot that failed (None if none did)."""
+    out = []
+    for slot, token in enumerate(tokens):
+        expected = expected_per_slot[slot] if expected_per_slot is not None else None
+        for e, d in ref_select(ref_access(lexicon, token.split("#", 1)[0]), token):
+            budget = threshold if threshold is not None else (len(e.form) + 1) // 2
+            if (expected is None or e.category in expected) and d <= budget:
+                out.append(e)
+                break
+        else:
+            return tuple(out), slot
+    return tuple(out), None
+
+
+# Forms collide under casefolding; tokens add "#", non-ASCII letters whose
+# casefolds are ASCII ("ß" -> "ss", Kelvin sign -> "k") or not ("é").
+_FORMS = st.builds(
+    str.__add__, st.sampled_from("aAbBkKsS"), st.text(alphabet="aAbBkKsS'-", max_size=4)
+)
+_TOKENS = st.text(alphabet="aAbBkKsS'-#\u00e9\u00df\u212a", max_size=7).filter(
+    lambda t: t.count("#") <= 3
+)
+_EXPECTED = st.one_of(st.none(), st.sets(st.sampled_from(["N", "V", "P"]), min_size=1))
+
+
+@st.composite
+def lexicons(draw):
+    entries, seen = [], set()
+    for form, category, frequency in draw(
+        st.lists(
+            st.tuples(_FORMS, st.sampled_from(["N", "V", "P"]), st.integers(0, 2)),
+            max_size=14,
+        )
+    ):
+        if (form.casefold(), category) not in seen:
+            seen.add((form.casefold(), category))
+            entries.append(LexEntry(form, category, frozenset(), frequency))
+    return Lexicon(tuple(entries))
+
+
+@st.composite
+def tokens_for(draw, lexicon):
+    """A free token, or a lexicon form with up to three positions unheard."""
+    forms = [e.form for e in lexicon.entries]
+    if not forms or draw(st.booleans()):
+        return draw(_TOKENS)
+    token = list(draw(st.sampled_from(forms)))
+    for i in draw(st.lists(st.integers(0, len(token) - 1), max_size=3)):
+        token[i] = "#"
+    return "".join(token)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexicons(), st.data())
+def test_stages_match_references(lexicon, data):
+    token = data.draw(tokens_for(lexicon))
+    prefix = token.split("#", 1)[0]
+    cohort = access(lexicon, prefix)
+    assert cohort.prefix == prefix and cohort.members == ref_access(lexicon, prefix)
+    ranked = select(cohort, token)
+    assert ranked == ref_select(cohort.members, token)
+    expected = data.draw(_EXPECTED)
+    assert integrate(ranked, expected) == tuple(
+        (e, d) for e, d in ranked if expected is None or e.category in expected
+    )
+    assert lexicon.lookup(token) == tuple(
+        e for e in lexicon.entries if e.form.casefold() == token.casefold()
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexicons(), st.data())
+def test_recognize_matches_reference(lexicon, data):
+    tokens = data.draw(st.lists(tokens_for(lexicon), min_size=1, max_size=3))
+    per_slot = st.lists(_EXPECTED, min_size=len(tokens), max_size=len(tokens))
+    expected = data.draw(st.one_of(st.none(), per_slot))
+    threshold = data.draw(st.one_of(st.none(), st.integers(0, 3)))
+    want, slot = ref_recognize(lexicon, tokens, expected, threshold)
+    if slot is None:
+        assert recognize(lexicon, tokens, expected, threshold) == want
+        return
+    with pytest.raises(NoCandidate) as exc:
+        recognize(lexicon, tokens, expected, threshold)
+    assert (exc.value.slot, exc.value.token, exc.value.partial) == (slot, tokens[slot], want)
+    assert str(exc.value) == f"no candidate for token {tokens[slot]!r} at slot {slot}"
+
+
 # ----------------------------------------------------------------- entries
 
 
@@ -92,6 +222,21 @@ def test_entry_validation():
     with pytest.raises(LexiconError):
         LexEntry("fine", "N", frozenset(), -3)
     assert "Q" in CATEGORIES and "WH" in CATEGORIES
+
+
+def test_lookup_returns_every_casing_in_file_order():
+    entries = (
+        LexEntry("Bank", "N", frozenset(), 3),
+        LexEntry("dog", "N", frozenset(), 9),
+        LexEntry("bank", "V", frozenset(), 3),
+        LexEntry("BANK", "P", frozenset(), 7),
+        LexEntry("banks", "N", frozenset(), 1),
+    )
+    lexicon = Lexicon(entries)
+    assert lexicon.lookup("bAnK") == (entries[0], entries[2], entries[3])
+    assert lexicon.lookup("banks") == (entries[4],)
+    assert lexicon.lookup("ban") == ()
+    assert lexicon.lookup("") == ()
 
 
 def test_duplicate_form_category_rejected():
