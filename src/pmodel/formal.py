@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import PmodelError
 
@@ -493,6 +493,9 @@ def parse_formula(text: str) -> Formula:
 
 # ------------------------------------------------------------------ JSON
 
+_JSON_TAG = {And: "and", Or: "or", Implies: "implies", Sheffer: "sheffer", Pierce: "pierce"}
+_TAG_TO_BINARY = {tag: cls for cls, tag in _JSON_TAG.items()}
+
 
 def formula_to_json(f: Formula) -> dict:
     match f:
@@ -521,9 +524,8 @@ def formula_to_json(f: Formula) -> dict:
         case ProbAssertion(event, p):
             return {"node": "prob", "event": event, "p": f"{p.numerator}/{p.denominator}"}
         case _:
-            tag = {And: "and", Or: "or", Implies: "implies", Sheffer: "sheffer", Pierce: "pierce"}
             return {
-                "node": tag[type(f)],
+                "node": _JSON_TAG[type(f)],
                 "left": formula_to_json(f.left),
                 "right": formula_to_json(f.right),
             }
@@ -551,7 +553,7 @@ def formula_from_json(data: Mapping) -> Formula:
         )
     if node == "prob":
         return ProbAssertion(data["event"], Fraction(data["p"]))
-    cls = {"and": And, "or": Or, "implies": Implies, "sheffer": Sheffer, "pierce": Pierce}[node]
+    cls = _TAG_TO_BINARY[node]
     return cls(formula_from_json(data["left"]), formula_from_json(data["right"]))
 
 
@@ -685,87 +687,73 @@ def evaluate(f: Formula, m: Model, assignment: Optional[Mapping[str, str]] = Non
     return build(f)()
 
 
-# ------------------------------------------------------------ free variables
+# --------------------------------------------------------------- traversal
+
+BINDERS = (Forall, Exists, WhQuery)
+
+
+def children(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of f, a query's restrictor before its body."""
+    t = type(f)
+    if t in _BINARY:
+        return (f.left, f.right)
+    if t is WhQuery:
+        return (f.restrictor, f.body)
+    if t is Not or t is Forall or t is Exists:
+        return (f.body,)
+    if t is Atom or t is Membership or t is ProbAssertion:
+        return ()
+    raise UnsupportedNode(t.__name__)
+
+
+def preorder(f: Formula) -> Iterator[tuple[Formula, frozenset[str]]]:
+    """Every node of f, each before its children, with the variables bound
+    above it (a binder's own variable is bound in its children only). Runs
+    on an explicit stack, so depth costs no interpreter frames."""
+    stack = [(f, frozenset())]
+    while stack:
+        g, bound = stack.pop()
+        yield g, bound
+        if isinstance(g, BINDERS):
+            bound = bound | {g.variable}
+        for kid in reversed(children(g)):
+            stack.append((kid, bound))
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    match f:
-        case Membership(subject, _, obj):
-            names = {t.name for t in (subject, obj) if t is not None and t.kind == "variable"}
-            return frozenset(names)
-        case Not(body):
-            return free_vars(body)
-        case Forall(v, body) | Exists(v, body):
-            return free_vars(body) - {v}
-        case WhQuery(v, restrictor, body):
-            return (free_vars(restrictor) | free_vars(body)) - {v}
-        case Atom() | ProbAssertion():
-            return frozenset()
-        case _:
-            return free_vars(f.left) | free_vars(f.right)
+    return _names(preorder(f))[0]
 
 
 def _symbols(f: Formula) -> frozenset[str]:
     """Every predicate, relation, constant, atom and event symbol in f."""
-    match f:
-        case Atom(name):
-            return frozenset({name})
-        case Membership(subject, predicate, obj):
-            names = {predicate}
-            for t in (subject, obj):
-                if t is not None and t.kind == "constant":
-                    names.add(t.name)
-            return frozenset(names)
-        case Not(body):
-            return _symbols(body)
-        case Forall(_, body) | Exists(_, body):
-            return _symbols(body)
-        case WhQuery(_, restrictor, body):
-            return _symbols(restrictor) | _symbols(body)
-        case ProbAssertion(event, _):
-            return frozenset({event})
-        case _:
-            return _symbols(f.left) | _symbols(f.right)
+    return _names(preorder(f))[1]
 
 
-def _quantifier_nodes(f: Formula) -> Iterator[Formula]:
-    match f:
-        case Forall(_, body) | Exists(_, body):
-            yield f
-            yield from _quantifier_nodes(body)
-        case WhQuery(_, restrictor, body):
-            yield f
-            yield from _quantifier_nodes(restrictor)
-            yield from _quantifier_nodes(body)
-        case Not(body):
-            yield from _quantifier_nodes(body)
-        case Atom() | Membership() | ProbAssertion():
-            return
-        case _:
-            yield from _quantifier_nodes(f.left)
-            yield from _quantifier_nodes(f.right)
+def _names(nodes) -> tuple[frozenset[str], frozenset[str]]:
+    """The free variables and the symbols of the nodes of one walk."""
+    free: set[str] = set()
+    symbols: set[str] = set()
+    for g, bound in nodes:
+        t = type(g)
+        if t is Membership:
+            symbols.add(g.predicate)
+            for term in (g.subject, g.obj):
+                if term is None:
+                    continue
+                if term.kind == "constant":
+                    symbols.add(term.name)
+                elif term.name not in bound:
+                    free.add(term.name)
+        elif t is Atom:
+            symbols.add(g.name)
+        elif t is ProbAssertion:
+            symbols.add(g.event)
+    return frozenset(free), frozenset(symbols)
 
 
 class WellFormedness(NamedTuple):
     ok: bool
     diagnostics: tuple[str, ...]
-
-
-def _shadowing(f: Formula, bound: frozenset[str]) -> list[str]:
-    match f:
-        case Forall(v, body) | Exists(v, body):
-            out = [f"Shadowing: {v} rebound"] if v in bound else []
-            return out + _shadowing(body, bound | {v})
-        case WhQuery(v, restrictor, body):
-            out = [f"Shadowing: {v} rebound"] if v in bound else []
-            inner = bound | {v}
-            return out + _shadowing(restrictor, inner) + _shadowing(body, inner)
-        case Not(body):
-            return _shadowing(body, bound)
-        case Atom() | Membership() | ProbAssertion():
-            return []
-        case _:
-            return _shadowing(f.left, bound) + _shadowing(f.right, bound)
 
 
 def well_formed(f: Formula, declarants=None, known_symbols=None) -> WellFormedness:
@@ -775,8 +763,12 @@ def well_formed(f: Formula, declarants=None, known_symbols=None) -> WellFormedne
     predicate); `known_symbols` optionally closes the symbol vocabulary.
     Returns ok plus the full diagnostic list.
     """
-    diagnostics: list[str] = []
-    diagnostics.extend(_shadowing(f, frozenset()))
+    nodes = list(preorder(f))
+    diagnostics = [
+        f"Shadowing: {g.variable} rebound"
+        for g, bound in nodes
+        if isinstance(g, BINDERS) and g.variable in bound
+    ]
 
     declared_vars: set[str] = set()
     sort_predicates: set[str] = set()
@@ -785,38 +777,24 @@ def well_formed(f: Formula, declarants=None, known_symbols=None) -> WellFormedne
         declared_vars.add(v)
         sort_predicates.add(sort)
 
+    free, symbols = _names(nodes)
     if declarants is not None:
-        for name in sorted(free_vars(f) - declared_vars):
+        for name in sorted(free - declared_vars):
             diagnostics.append(f"UndeclaredVariable: {name}")
 
     if known_symbols is not None:
         allowed = set(known_symbols) | sort_predicates
-        for name in sorted(_symbols(f) - allowed):
+        for name in sorted(symbols - allowed):
             diagnostics.append(f"UnknownSymbol: {name}")
 
-    has_prob = any(isinstance(g, ProbAssertion) for g in _walk(f))
-    has_quantifier = next(_quantifier_nodes(f), None) is not None
+    has_prob = any(type(g) is ProbAssertion for g, _ in nodes)
+    has_quantifier = any(isinstance(g, BINDERS) for g, _ in nodes)
     if calculus == "predicate" and has_prob:
         diagnostics.append("CalculusMismatch: probability assertion under predicate calculus")
     if calculus == "propositional" and (has_quantifier or has_prob):
         diagnostics.append("CalculusMismatch: quantification under propositional calculus")
 
     return WellFormedness(not diagnostics, tuple(diagnostics))
-
-
-def _walk(f: Formula) -> Iterator[Formula]:
-    yield f
-    match f:
-        case Not(body) | Forall(_, body) | Exists(_, body):
-            yield from _walk(body)
-        case WhQuery(_, restrictor, body):
-            yield from _walk(restrictor)
-            yield from _walk(body)
-        case Atom() | Membership() | ProbAssertion():
-            return
-        case _:
-            yield from _walk(f.left)
-            yield from _walk(f.right)
 
 
 # ------------------------------------------------------------ Sheffer basis
@@ -872,17 +850,23 @@ def to_sheffer(f: Formula) -> Formula:
 # ----------------------------------------------------------- canonical form
 
 
-def _split_prefix(f: Formula) -> tuple[list[tuple[type, str]], Formula]:
-    prefix: list[tuple[type, str]] = []
-    while isinstance(f, (Forall, Exists)):
-        prefix.append((type(f), f.variable))
+def split_prefix(f: Formula, binders: tuple[type, ...]) -> tuple[list[Formula], Formula]:
+    """The leading run of binder nodes of the types in `binders`, outermost
+    first, and the formula under the last of them."""
+    prefix: list[Formula] = []
+    while isinstance(f, binders):
+        prefix.append(f)
         f = f.body
     return prefix, f
 
 
-def _wrap_prefix(prefix: list[tuple[type, str]], body: Formula) -> Formula:
-    for cls, v in reversed(prefix):
-        body = cls(v, body)
+def wrap_prefix(prefix: Sequence[Formula], body: Formula) -> Formula:
+    """Rebuild the binder nodes of prefix, outermost first, around body."""
+    for b in reversed(prefix):
+        if type(b) is WhQuery:
+            body = WhQuery(b.variable, b.restrictor, body)
+        else:
+            body = type(b)(b.variable, body)
     return body
 
 
@@ -906,40 +890,42 @@ def canonicalize(f: Formula) -> Formula:
             return WhQuery(v, canonicalize(restrictor), canonicalize(body))
         case Not(body):
             inner = canonicalize(body)
-            if isinstance(inner, (Forall, Exists, WhQuery)):
+            if isinstance(inner, BINDERS):
                 raise NotCanonicalizable("a quantifier cannot move out of a negation")
             return Not(inner)
         case Sheffer(left, right) | Pierce(left, right):
             a, b = canonicalize(left), canonicalize(right)
-            if any(isinstance(g, (Forall, Exists, WhQuery)) for g in (a, b)):
+            if any(isinstance(g, BINDERS) for g in (a, b)):
                 raise NotCanonicalizable("a quantifier cannot move across a stroke connective")
             return type(f)(a, b)
         case And(left, right) | Or(left, right):
             a, b = canonicalize(left), canonicalize(right)
             if isinstance(a, WhQuery) or isinstance(b, WhQuery):
                 raise NotCanonicalizable("a query cannot move out of a connective")
-            pa, abody = _split_prefix(a)
-            pb, bbody = _split_prefix(b)
+            pa, abody = split_prefix(a, (Forall, Exists))
+            pb, bbody = split_prefix(b, (Forall, Exists))
             _check_moves(pa, b, "right operand")
             _check_moves(pb, abody, "left operand")
-            seen = [v for _, v in pa + pb]
+            seen = [q.variable for q in pa + pb]
             if len(seen) != len(set(seen)):
                 raise NotCanonicalizable("same variable bound on both sides")
-            return _wrap_prefix(pa + pb, type(f)(abody, bbody))
+            return wrap_prefix(pa + pb, type(f)(abody, bbody))
         case Implies(left, right):
             a, b = canonicalize(left), canonicalize(right)
-            if isinstance(a, (Forall, Exists, WhQuery)):
+            if isinstance(a, BINDERS):
                 raise NotCanonicalizable("a quantifier cannot move out of an antecedent")
             if isinstance(b, WhQuery):
                 raise NotCanonicalizable("a query cannot move out of a connective")
-            pb, bbody = _split_prefix(b)
+            pb, bbody = split_prefix(b, (Forall, Exists))
             _check_moves(pb, a, "antecedent")
-            return _wrap_prefix(pb, Implies(a, bbody))
+            return wrap_prefix(pb, Implies(a, bbody))
     raise UnsupportedNode(type(f).__name__)
 
 
-def _check_moves(prefix: list[tuple[type, str]], other: Formula, where: str) -> None:
-    captured = {v for _, v in prefix} & free_vars(other)
+def _check_moves(prefix: list[Formula], other: Formula, where: str) -> None:
+    if not prefix:
+        return
+    captured = {q.variable for q in prefix} & free_vars(other)
     if captured:
         names = ", ".join(sorted(captured))
         raise NotCanonicalizable(f"moving {names} would capture a free variable in the {where}")

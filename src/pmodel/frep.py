@@ -14,23 +14,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction  # noqa: F401  (re-exported convenience for model files)
 from itertools import permutations
 from typing import Mapping, Optional
 
 from .errors import PmodelError
 from .formal import (
+    BINDERS,
     Exists,
     Forall,
     Formula,
-    WhQuery,
-    _split_prefix,
     _symbols,
-    _wrap_prefix,
-    canonicalize,  # noqa: F401  (part of this module's surface)
     parse_formula,
+    preorder,
     render_formula,
+    split_prefix,
     well_formed,
+    wrap_prefix,
 )
 
 CALCULI = ("predicate", "probability")
@@ -159,24 +158,7 @@ class FRepresentation:
 
 def quantified_variables(f: Formula) -> tuple[str, ...]:
     """Variables bound anywhere in f, outermost first, duplicates preserved."""
-    out: list[str] = []
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, (Forall, Exists)):
-            out.append(g.variable)
-            walk(g.body)
-        elif isinstance(g, WhQuery):
-            out.append(g.variable)
-            walk(g.restrictor)
-            walk(g.body)
-        elif hasattr(g, "left"):
-            walk(g.left)
-            walk(g.right)
-        elif hasattr(g, "body"):
-            walk(g.body)
-
-    walk(f)
-    return tuple(out)
+    return tuple(g.variable for g, _ in preorder(f) if isinstance(g, BINDERS))
 
 
 def build_frep(external, lexical, declarants, string, force) -> FRepresentation:
@@ -234,26 +216,29 @@ def resolve_scope(f: FRepresentation) -> tuple[Formula, ...]:
     Permutes the leading quantifier prefix only. The declared order comes
     first when admissible; the rest follow sorted by their variable sequence.
     """
-    prefix, matrix = _split_prefix(f.string)
+    prefix, matrix = split_prefix(f.string, (Forall, Exists))
     if len(prefix) <= 1:
         return (f.string,)
     order = f.declarants.scope_order
     constrained = list(order or ())
 
     def admissible(p) -> bool:
-        listed = [v for _, v in p if v in constrained]
+        listed = [q.variable for q in p if q.variable in constrained]
         return listed == constrained
+
+    def kinds(p) -> tuple:
+        return tuple((type(q), q.variable) for q in p)
 
     original = tuple(prefix)
     readings = []
     if admissible(original):
         readings.append(original)
     others = sorted(
-        (p for p in permutations(prefix) if p != original and admissible(p)),
-        key=lambda p: tuple(v for _, v in p),
+        (p for p in permutations(prefix) if kinds(p) != kinds(original) and admissible(p)),
+        key=lambda p: tuple(q.variable for q in p),
     )
     readings.extend(others)
-    return tuple(_wrap_prefix(list(p), matrix) for p in readings)
+    return tuple(wrap_prefix(p, matrix) for p in readings)
 
 
 def binding_referents(f: FRepresentation) -> BindingConstraints:

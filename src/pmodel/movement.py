@@ -10,8 +10,7 @@ emphasis topicalizes its target, and with neither the vacuous y-traces are
 erased.
 
 Index bookkeeping: new chains take max(used) + 1 starting at 1, which is
-what the rendered subscripts in derivations look like. (fresh_index in the
-sstring module is the smallest-unused convention; both are deliberate.)
+what the rendered subscripts in derivations look like.
 """
 
 from __future__ import annotations
@@ -99,8 +98,8 @@ def record_to_json(r: MovementRecord) -> dict:
     return {"operation": r.operation, "index": r.index, "source": r.source, "target": r.target}
 
 
-def _next_index(s: SString) -> int:
-    used = [i.index for i in s.items if isinstance(i, (Indexed, Trace))]
+def _next_index(items) -> int:
+    used = [it.index for it in items if isinstance(it, (Indexed, Trace))]
     return max(used, default=0) + 1
 
 
@@ -127,16 +126,6 @@ def _adjust_case(items: list, pos: int) -> None:
         items[pos] = Word(text)
 
 
-def _positions_of_index(items, index: int) -> tuple[int, int]:
-    ipos = tpos = -1
-    for pos, it in enumerate(items):
-        if isinstance(it, Indexed) and it.index == index:
-            ipos = pos
-        elif isinstance(it, Trace) and it.index == index:
-            tpos = pos
-    return ipos, tpos
-
-
 def quantifier_raise(
     s: SString, qpos: int, config: GrammarConfig = DEFAULT_CONFIG
 ) -> tuple[SString, MovementRecord]:
@@ -153,7 +142,7 @@ def quantifier_raise(
     if word.text.lower() not in config.quantifier_words:
         raise NotAQuantifier(qpos)
 
-    index = _next_index(s)
+    index = _next_index(s.items)
     rest = list(s.items)
     rest[qpos] = Trace("x", index)
     mover = Indexed(word.text, index)
@@ -167,7 +156,7 @@ def quantifier_raise(
         items = [mover] + rest
     _adjust_case(items, items.index(mover))
     result = SString("LF", tuple(items), s.punctuation)
-    ipos, tpos = _positions_of_index(result.items, index)
+    ipos, tpos = result.coindex[index]
     return result, MovementRecord("quantifier_raise", index, source=tpos, target=ipos)
 
 
@@ -319,7 +308,7 @@ def apply_emphasis(
             raise BindingViolation(word)
     record = None
     if moved_index is not None:
-        ipos, tpos = _positions_of_index(result.items, moved_index)
+        ipos, tpos = result.coindex[moved_index]
         record = MovementRecord(operation, moved_index, source=tpos, target=ipos)
     return result, record
 
@@ -344,9 +333,7 @@ def _front(items: list, pos: int) -> int:
         items[pos] = Trace("t", index)
         _adjust_case(items, ypos)
         return index
-    index = max(
-        [it.index for it in items if isinstance(it, (Indexed, Trace))], default=0
-    ) + 1
+    index = _next_index(items)
     items[pos] = Trace("t", index)
     items.insert(0, Indexed(item.text, index))
     _adjust_case(items, 0)

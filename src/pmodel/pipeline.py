@@ -21,9 +21,8 @@ from typing import Optional
 
 from .errors import PmodelError
 from .formal import (
+    BINDERS,
     And,
-    Exists,
-    Forall,
     Formula,
     Implies,
     Membership,
@@ -33,7 +32,9 @@ from .formal import (
     canonicalize,
     is_variable_name,
     render_formula,
+    split_prefix,
     var,
+    wrap_prefix,
 )
 from .frep import Force, FRepresentation, binding_referents, resolve_scope
 from .movement import (
@@ -99,23 +100,6 @@ def config_for(f: FRepresentation, base: GrammarConfig = DEFAULT_CONFIG) -> Gram
     )
 
 
-def _split_reading(reading: Formula):
-    """Leading quantifier prefix as (kind, variable, restrictor) triples."""
-    prefix = []
-    while True:
-        if isinstance(reading, Forall):
-            prefix.append(("forall", reading.variable, None))
-            reading = reading.body
-        elif isinstance(reading, Exists):
-            prefix.append(("exists", reading.variable, None))
-            reading = reading.body
-        elif isinstance(reading, WhQuery):
-            prefix.append(("wh", reading.variable, reading.restrictor))
-            reading = reading.body
-        else:
-            return prefix, reading
-
-
 def _conjuncts(f: Formula) -> list[Formula]:
     return _conjuncts(f.left) + _conjuncts(f.right) if isinstance(f, And) else [f]
 
@@ -124,7 +108,7 @@ def _strip_guard(matrix: Formula, prefix, sorts) -> Formula:
     """Drop a sort-guard antecedent: it is carried by the quantifier words."""
     if not isinstance(matrix, Implies):
         return matrix
-    prefix_vars = {v for _, v, _ in prefix}
+    prefix_vars = {q.variable for q in prefix}
     for g in _conjuncts(matrix.left):
         if not (
             isinstance(g, Membership)
@@ -146,15 +130,13 @@ def _word_for(f: FRepresentation, symbol: str) -> str:
 
 def _lexicalize(f: FRepresentation, reading: Formula) -> SString:
     """Spell the reading out as a flat logical-form string."""
-    prefix, matrix = _split_reading(reading)
-    if not prefix and isinstance(reading, WhQuery):
-        raise UnlexicalizableNode("WhQuery")  # unreachable, kept for clarity
+    prefix, matrix = split_prefix(reading, BINDERS)
     sorts = dict(f.declarants.parameters)
     matrix = _strip_guard(matrix, prefix, sorts)
     if not isinstance(matrix, Membership):
         raise UnlexicalizableNode(type(matrix).__name__)
 
-    index_of = {v: i + 1 for i, (_, v, _) in enumerate(prefix)}
+    index_of = {q.variable: i + 1 for i, q in enumerate(prefix)}
 
     def term_item(t: Term):
         if t.kind == "variable":
@@ -169,7 +151,7 @@ def _lexicalize(f: FRepresentation, reading: Formula) -> SString:
     else:
         body = [term_item(matrix.subject), verb, term_item(matrix.obj)]
 
-    wh_vars = {v for kind, v, _ in prefix if kind == "wh"}
+    wh_vars = {q.variable for q in prefix if isinstance(q, WhQuery)}
     subject_is_wh = (
         matrix.subject.kind == "variable" and matrix.subject.name in wh_vars
     )
@@ -177,11 +159,11 @@ def _lexicalize(f: FRepresentation, reading: Formula) -> SString:
         body.insert(0, Word("did"))
 
     fronted = []
-    for _, v, _ in prefix:
-        referent = f.referent(v)
+    for q in prefix:
+        referent = f.referent(q.variable)
         if referent is None or referent.category not in ("Q", "WH"):
-            raise UnlexicalizableNode(f"quantifier variable {v!r} without a Q/WH referent")
-        fronted.append(Indexed(referent.word, index_of[v]))
+            raise UnlexicalizableNode(f"quantifier variable {q.variable!r} without a Q/WH referent")
+        fronted.append(Indexed(referent.word, index_of[q.variable]))
 
     items = fronted + body
     punctuation = "question" if f.force.mood == "interrogative" else None
@@ -199,10 +181,8 @@ def _lower_all(lf: SString, config: GrammarConfig) -> tuple[SString, list[Moveme
         if not audible or not isinstance(audible[0], Indexed):
             break
         head = audible[0]
-        partner = next(
-            (it for it in s.items if isinstance(it, Trace) and it.index == head.index), None
-        )
-        if partner is None or partner.kind != "x":
+        _, tpos = s.coindex[head.index]
+        if s.items[tpos].kind != "x":
             break
         text = head.text.lower()
         if text in config.wh_words:
@@ -323,22 +303,19 @@ def derive_t(
 def delexicalize(lf: SString, f: FRepresentation) -> Formula:
     """Invert lexicalization: read a formula back off a logical-form string."""
     symbol_by_word = {r.word.lower(): r.symbol for r in f.lexical}
-    kinds: dict[str, tuple[str, Optional[Formula]]] = {}
-    prefix_of_string, _ = _split_reading(f.string)
-    for kind, v, restrictor in prefix_of_string:
-        kinds[v] = (kind, restrictor)
+    binders_of_string, original_matrix = split_prefix(f.string, BINDERS)
+    binder_of = {q.variable: q for q in binders_of_string}
 
     flat = [it for it in lf.items if not isinstance(it, (OpenBracket, CloseBracket))]
     i = 0
-    prefix: list[tuple[str, str, Optional[Formula]]] = []
+    prefix: list[Formula] = []
     var_by_index: dict[int, str] = {}
     while i < len(flat) and isinstance(flat[i], Indexed):
         word = flat[i].text.lower()
         symbol = symbol_by_word.get(word)
-        if symbol is None or not is_variable_name(symbol) or symbol not in kinds:
+        if symbol is None or not is_variable_name(symbol) or symbol not in binder_of:
             raise DelexicalizeFailure(f"fronted word {word!r} is not a known quantifier")
-        kind, restrictor = kinds[symbol]
-        prefix.append((kind, symbol, restrictor))
+        prefix.append(binder_of[symbol])
         var_by_index[flat[i].index] = symbol
         i += 1
 
@@ -372,12 +349,13 @@ def delexicalize(lf: SString, f: FRepresentation) -> Formula:
 
     sorts = dict(f.declarants.parameters)
     guards = [
-        Membership(var(v), sorts[v]) for kind, v, _ in prefix if kind != "wh" and v in sorts
+        Membership(var(q.variable), sorts[q.variable])
+        for q in prefix
+        if not isinstance(q, WhQuery) and q.variable in sorts
     ]
     body = core
     if guards:
         # the guard came off f.string's antecedent; restore that exact shape
-        _, original_matrix = _split_reading(f.string)
         if isinstance(original_matrix, Implies) and set(
             _conjuncts(original_matrix.left)
         ) == set(guards):
@@ -387,16 +365,7 @@ def delexicalize(lf: SString, f: FRepresentation) -> Formula:
             for g in reversed(guards[:-1]):
                 acc = And(g, acc)
             body = Implies(acc, body)
-    for kind, v, restrictor in reversed(prefix):
-        if kind == "forall":
-            body = Forall(v, body)
-        elif kind == "exists":
-            body = Exists(v, body)
-        else:
-            if restrictor is None:
-                raise DelexicalizeFailure(f"wh variable {v!r} has no restrictor")
-            body = WhQuery(v, restrictor, body)
-    return body
+    return wrap_prefix(prefix, body)
 
 
 # ------------------------------------------------------------- comparison
@@ -443,7 +412,9 @@ def compare(f: FRepresentation, config: Optional[GrammarConfig] = None) -> Compa
         )
     ds = p.steps[0].sstring
     raise_order = tuple(
-        f.word_of(v) or v for kind, v, _ in _split_reading(readings[0])[0] if kind != "wh"
+        f.word_of(q.variable) or q.variable
+        for q in split_prefix(readings[0], BINDERS)[0]
+        if not isinstance(q, WhQuery)
     )
     t = derive_t(ds, _resolved_force(f), cfg, raise_order=raise_order or None)
 

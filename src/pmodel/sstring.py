@@ -226,15 +226,6 @@ def equivalent_mod_indices(a: SString, b: SString) -> bool:
     return True
 
 
-def fresh_index(s: SString) -> int:
-    """Smallest index unused by any trace or indexed item."""
-    used = {i.index for i in s.items if isinstance(i, (Indexed, Trace))}
-    i = 0
-    while i in used:
-        i += 1
-    return i
-
-
 def sstring_to_json(s: SString) -> dict:
     out: list[dict] = []
     for item in s.items:

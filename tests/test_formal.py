@@ -7,10 +7,12 @@ an implementation that shares no code with the package.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmodel.formal import (
@@ -47,6 +49,7 @@ from pmodel.formal import (
     var,
     well_formed,
 )
+from pmodel.frep import quantified_variables
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 DUMMY = Model(domain=frozenset({"e"}))
@@ -203,14 +206,115 @@ def prop_formulas(connectives=(Not, And, Or, Implies, Sheffer, Pierce)):
     return st.recursive(atoms_strategy(), extend, max_leaves=12)
 
 
-@given(prop_formulas())
+VARIABLES = st.sampled_from(["x", "y", "z"])
+TERMS = st.one_of(VARIABLES.map(var), st.sampled_from(["J", "M"]).map(const))
+
+
+def fo_formulas():
+    """First-order formulas over every node type. Binders draw from x, y, z
+    only, so rebinding a bound variable and free occurrences both happen."""
+    leaves = st.one_of(
+        atoms_strategy(),
+        st.builds(Membership, TERMS, st.sampled_from(["H", "L"])),
+        st.builds(Membership, TERMS, st.sampled_from(["S", "T"]), TERMS),
+        st.builds(
+            ProbAssertion,
+            st.sampled_from(["snow", "rain"]),
+            st.fractions(min_value=0, max_value=1, max_denominator=9),
+        ),
+    )
+
+    def extend(kids):
+        return st.one_of(
+            st.builds(Not, kids),
+            *[st.builds(c, kids, kids) for c in (And, Or, Implies, Sheffer, Pierce)],
+            st.builds(Forall, VARIABLES, kids),
+            st.builds(Exists, VARIABLES, kids),
+            st.builds(WhQuery, VARIABLES, kids, kids),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+@given(st.one_of(prop_formulas(), fo_formulas()))
 def test_render_parse_roundtrip(f):
     assert parse_formula(render_formula(f)) == f
 
 
-@given(prop_formulas())
+@given(st.one_of(prop_formulas(), fo_formulas()))
 def test_formula_json_roundtrip(f):
     assert formula_from_json(formula_to_json(f)) == f
+
+
+def _term_json(kind, name):
+    return {"kind": kind, "name": name}
+
+
+def test_formula_json_pins_every_node_type():
+    f = parse_formula(
+        "wh x. (x in H , forall y. exists z. ((p & !(prob(snow) = 1/2))"
+        " v ((J S y -> (q |/ r)) & (z in L !v p))))"
+    )
+    p = {"node": "atom", "name": "p"}
+    want = {
+        "node": "wh",
+        "variable": "x",
+        "restrictor": {
+            "node": "membership",
+            "subject": _term_json("variable", "x"),
+            "predicate": "H",
+            "object": None,
+        },
+        "body": {
+            "node": "forall",
+            "variable": "y",
+            "body": {
+                "node": "exists",
+                "variable": "z",
+                "body": {
+                    "node": "or",
+                    "left": {
+                        "node": "and",
+                        "left": p,
+                        "right": {
+                            "node": "not",
+                            "body": {"node": "prob", "event": "snow", "p": "1/2"},
+                        },
+                    },
+                    "right": {
+                        "node": "and",
+                        "left": {
+                            "node": "implies",
+                            "left": {
+                                "node": "membership",
+                                "subject": _term_json("constant", "J"),
+                                "predicate": "S",
+                                "object": _term_json("variable", "y"),
+                            },
+                            "right": {
+                                "node": "sheffer",
+                                "left": {"node": "atom", "name": "q"},
+                                "right": {"node": "atom", "name": "r"},
+                            },
+                        },
+                        "right": {
+                            "node": "pierce",
+                            "left": {
+                                "node": "membership",
+                                "subject": _term_json("variable", "z"),
+                                "predicate": "L",
+                                "object": None,
+                            },
+                            "right": p,
+                        },
+                    },
+                },
+            },
+        },
+    }
+    # key order too: the serialized text is what files and tools see
+    assert json.dumps(formula_to_json(f)) == json.dumps(want)
+    assert formula_from_json(want) == f
 
 
 @given(prop_formulas(), st.integers(min_value=0, max_value=7))
@@ -489,9 +593,80 @@ def test_canonicalize_idempotent_and_truth_preserving():
 # ---------------------------------------------------------- well-formed
 
 
-def test_well_formed_diagnostics():
-    from types import SimpleNamespace
+def _kids(f) -> list:
+    return [getattr(f, a) for a in ("restrictor", "body", "left", "right") if hasattr(f, a)]
 
+
+def ref_free_vars(f) -> frozenset:
+    if isinstance(f, Membership):
+        return frozenset(t.name for t in (f.subject, f.obj) if t is not None and t.kind == "variable")
+    inner = frozenset().union(*map(ref_free_vars, _kids(f)))
+    return inner - {f.variable} if hasattr(f, "variable") else inner
+
+
+def ref_binders(f, bound=frozenset()) -> list:
+    """(variable, rebinds an enclosing binder) for each binder, outermost first."""
+    if not hasattr(f, "variable"):
+        return [b for k in _kids(f) for b in ref_binders(k, bound)]
+    inner = bound | {f.variable}
+    return [(f.variable, f.variable in bound)] + [b for k in _kids(f) for b in ref_binders(k, inner)]
+
+
+def ref_symbols(f) -> frozenset:
+    if isinstance(f, Atom):
+        return frozenset({f.name})
+    if isinstance(f, ProbAssertion):
+        return frozenset({f.event})
+    if isinstance(f, Membership):
+        constants = {t.name for t in (f.subject, f.obj) if t is not None and t.kind == "constant"}
+        return frozenset({f.predicate} | constants)
+    return frozenset().union(*map(ref_symbols, _kids(f)))
+
+
+def ref_has_prob(f) -> bool:
+    return isinstance(f, ProbAssertion) or any(map(ref_has_prob, _kids(f)))
+
+
+def ref_well_formed(f, declarants, known_symbols) -> tuple:
+    out = [f"Shadowing: {v} rebound" for v, rebound in ref_binders(f) if rebound]
+    params = declarants.parameters if declarants is not None else ()
+    if declarants is not None:
+        declared = {v for v, _ in params}
+        out += [f"UndeclaredVariable: {v}" for v in sorted(ref_free_vars(f) - declared)]
+    if known_symbols is not None:
+        allowed = set(known_symbols) | {sort for _, sort in params}
+        out += [f"UnknownSymbol: {s}" for s in sorted(ref_symbols(f) - allowed)]
+    calculus = getattr(declarants, "calculus", None)
+    if calculus == "predicate" and ref_has_prob(f):
+        out.append("CalculusMismatch: probability assertion under predicate calculus")
+    if calculus == "propositional" and (ref_binders(f) or ref_has_prob(f)):
+        out.append("CalculusMismatch: quantification under propositional calculus")
+    return tuple(out)
+
+
+@given(fo_formulas())
+@example(parse_formula("wh x. (forall y. y S x , exists z. exists y. z in H)"))
+def test_free_and_bound_variables_match_reference(f):
+    assert free_vars(f) == ref_free_vars(f)
+    assert quantified_variables(f) == tuple(v for v, _ in ref_binders(f))
+
+
+@given(
+    fo_formulas(),
+    st.sampled_from([None, "predicate", "probability", "propositional"]),
+    st.lists(st.tuples(VARIABLES, st.sampled_from(["H", "K"])), max_size=2),
+    st.sampled_from([None, set(), {"p", "H", "S", "J"}]),
+)
+def test_well_formed_matches_reference(f, calculus, parameters, known_symbols):
+    declarants = None
+    if calculus is not None:
+        declarants = SimpleNamespace(calculus=calculus, parameters=tuple(parameters))
+    got = well_formed(f, declarants, known_symbols)
+    want = ref_well_formed(f, declarants, known_symbols)
+    assert got.diagnostics == want and got.ok == (want == ())
+
+
+def test_well_formed_diagnostics():
     ok = well_formed(parse_formula("forall x. (x in H -> J S x)"), known_symbols={"H", "J", "S"})
     assert ok.ok and ok.diagnostics == ()
     ctx = SimpleNamespace(calculus="predicate", parameters=())

@@ -1,0 +1,53 @@
+"""Source hygiene of the package, read with the stdlib `ast` module alone.
+
+Every name a `src/pmodel` module imports must be used in that module or be
+listed in its `__all__`; an import kept only for re-export without being
+declared is dead weight that a rewrite can leave behind unnoticed.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pmodel"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of every import in the module."""
+    out: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    kept = used | _exported(tree)
+    return [f"{path.name}:{line}: {name}" for name, line in _imported(tree).items() if name not in kept]
+
+
+def test_package_modules_found():
+    assert {p.name for p in MODULES} >= {"__init__.py", "formal.py", "frep.py", "pipeline.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []

@@ -14,7 +14,6 @@ from pmodel.sstring import (
     Trace,
     Word,
     equivalent_mod_indices,
-    fresh_index,
     parse_sstring,
     render,
     sstring_from_json,
@@ -107,12 +106,6 @@ def test_trace_kind_matters():
     a = parse_sstring("Who_1 saw t_1", "SS")
     b = parse_sstring("Who_1 saw x_1", "SS")
     assert not equivalent_mod_indices(a, b)
-
-
-def test_fresh_index():
-    assert fresh_index(parse_sstring("Jones left", "SS")) == 0
-    assert fresh_index(parse_sstring("y_0 a_0 y_1 b_1", "DS")) == 2
-    assert fresh_index(parse_sstring("y_0 a_0 y_2 b_2", "DS")) == 1
 
 
 # ------------------------------------------------------------- property
