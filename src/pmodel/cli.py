@@ -206,11 +206,11 @@ def _cmd_gardenpath(args, out: TextIO) -> int:
             print(f"error: {failure}", file=sys.stderr)
             return 1
         return 0
-    parses = gardenpath.enumerate_parses(grammar, words)
-    out.write(f"parses: {len(parses)}\n")
-    if parses:
-        out.write(f"minimal nodes: {min(t.size for t in parses)}\n")
-    verdict = gardenpath.is_garden_path(grammar, words)
+    count = gardenpath.count_parses(grammar, words)
+    out.write(f"parses: {count.parses}\n")
+    if count.parses:
+        out.write(f"minimal nodes: {count.min_nodes}\n")
+    verdict = count.parses > 0 and failure is not None
     out.write(f"garden path: {'yes' if verdict else 'no'}\n")
     return 0
 

@@ -215,6 +215,8 @@ def resolve_scope(f: FRepresentation) -> tuple[Formula, ...]:
 
     Permutes the leading quantifier prefix only. The declared order comes
     first when admissible; the rest follow sorted by their variable sequence.
+    Permutations with the same (type, variable) sequence are one reading,
+    which a prefix that rebinds a variable would otherwise list twice.
     """
     prefix, matrix = split_prefix(f.string, (Forall, Exists))
     if len(prefix) <= 1:
@@ -233,11 +235,14 @@ def resolve_scope(f: FRepresentation) -> tuple[Formula, ...]:
     readings = []
     if admissible(original):
         readings.append(original)
-    others = sorted(
-        (p for p in permutations(prefix) if kinds(p) != kinds(original) and admissible(p)),
+    seen = {kinds(original)}
+    for p in sorted(
+        (p for p in permutations(prefix) if admissible(p)),
         key=lambda p: tuple(q.variable for q in p),
-    )
-    readings.extend(others)
+    ):
+        if kinds(p) not in seen:
+            seen.add(kinds(p))
+            readings.append(p)
     return tuple(wrap_prefix(p, matrix) for p in readings)
 
 

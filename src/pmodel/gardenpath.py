@@ -18,6 +18,16 @@ globally fine sentence: parse_incremental raises NoAttachment mid-string
 even though enumerate_parses (exhaustive chart) finds a tree. That gap is
 what is_garden_path() reports.
 
+The exhaustive side is a shared packed forest (Billot & Lang 1989) built in
+two passes. The recognition pass fills a chart that keeps, per span and
+category, only backpointers: None for a word, or (rule, split point). It
+builds no trees and costs O(n^3 * |rules|) for n words. count_parses and
+is_garden_path read that chart alone, so they run in polynomial time at
+any length. enumerate_parses adds the unpacking pass, which builds trees
+only for the cells that can reach the root, one per parse of each such
+cell; its cost is the number of those trees, which can grow exponentially
+with n, so it keeps a bound on the words it accepts.
+
 Reduction is lazy: a completed constituent stays "pending" until the next
 word forces a decision about where it belongs, so attachment height is
 chosen on evidence, not eagerly.
@@ -27,7 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import PmodelError
 
@@ -72,15 +82,29 @@ class LexRule:
     word: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ParseTree:
+    # Charts build hundreds of thousands of nodes. Slots set through their
+    # descriptors cost half of a generated frozen __init__; they are written
+    # out rather than asked of the dataclass so that Python 3.10 keeps weak
+    # references to trees.
+    __slots__ = ("label", "children", "word", "__weakref__")
     label: str
-    children: tuple["ParseTree", ...] = ()
-    word: Optional[str] = None
+    children: tuple["ParseTree", ...]
+    word: Optional[str]
 
-    def __post_init__(self) -> None:
-        if (self.word is None) == (len(self.children) == 0):
+    def __init__(
+        self, label: str, children: tuple["ParseTree", ...] = (), word: Optional[str] = None
+    ) -> None:
+        if (word is None) == (not children):
             raise GrammarError("a node is either a leaf with a word or has children")
+        _set_label(self, label)
+        _set_children(self, children)
+        _set_word(self, word)
+
+    def __reduce__(self):
+        # pickle and copy would restore the slots with the frozen __setattr__
+        return ParseTree, (self.label, self.children, self.word)
 
     @property
     def size(self) -> int:
@@ -94,6 +118,11 @@ class ParseTree:
         if self.word is not None:
             return (self.word,)
         return tuple(w for c in self.children for w in c.leaves)
+
+
+_set_label = ParseTree.label.__set__
+_set_children = ParseTree.children.__set__
+_set_word = ParseTree.word.__set__
 
 
 def render_tree(t: ParseTree) -> str:
@@ -155,9 +184,17 @@ class Grammar:
                         lc[c].add(r.left)
                         changed = True
         object.__setattr__(self, "_lc", {c: frozenset(s) for c, s in lc.items()})
+        by_left: dict[str, list[Rule]] = {}
+        for r in self.rules:
+            by_left.setdefault(r.left, []).append(r)
+        object.__setattr__(self, "_by_left", {c: tuple(rs) for c, rs in by_left.items()})
 
     def left_corners(self, category: str) -> frozenset[str]:
         return self._lc.get(category, frozenset({category}))
+
+    def rules_with_left(self, category: str) -> tuple[Rule, ...]:
+        """The binary rules whose left child is `category`, in grammar order."""
+        return self._by_left.get(category, ())
 
     def categories_of(self, word: str) -> tuple[str, ...]:
         return tuple(l.category for l in self.lexical if l.word == word)
@@ -257,9 +294,9 @@ def _dispose(grammar: Grammar, state: ParserState):
     pend = state.pending
     pops = 0
     while True:
-        exp = _expectation(grammar, frames)
-        for rule in grammar.rules:
-            if rule.left == pend.label and rule.parent in grammar.left_corners(exp):
+        corners = grammar.left_corners(_expectation(grammar, frames))
+        for rule in grammar.rules_with_left(pend.label):
+            if rule.parent in corners:
                 out.append(
                     (frames + [Frame(rule, pend, state.next_ts)], pops, 1, state.next_ts + 1)
                 )
@@ -288,8 +325,9 @@ def step(grammar: Grammar, state: ParserState, word: str):
                         StepInfo(category, dnodes, pops + 1),
                     )
                 )
-            for rule in grammar.rules:
-                if rule.left == category and rule.parent in grammar.left_corners(exp):
+            corners = grammar.left_corners(exp)
+            for rule in grammar.rules_with_left(category):
+                if rule.parent in corners:
                     options.append(
                         (
                             ParserState(tuple(frames) + (Frame(rule, leaf, ts),), None, ts + 1),
@@ -326,41 +364,121 @@ def parse_incremental(grammar: Grammar, words) -> tuple[ParseTree, tuple[StepCho
     return pend, tuple(trace)
 
 
+class ParseCount(NamedTuple):
+    parses: int
+    min_nodes: Optional[int]  # fewest internal nodes over the parses; None if none
+
+
+def _recognize(grammar: Grammar, words: list[str]) -> dict:
+    """The recognition pass: a packed chart of backpointers, no trees.
+
+    chart[(i, k)] maps each category that spans words i..k to None for a
+    word, or to its backpointers (rule, j): rule.left over i..j and
+    rule.right over j..k. They are in tree order: split point ascending,
+    then grammar rule order. Cells are inserted by span length, shortest
+    first.
+    """
+    n = len(words)
+    rank = {rule: r for r, rule in enumerate(grammar.rules)}
+    chart: dict[tuple[int, int], dict[str, Optional[list[tuple[Rule, int]]]]] = {}
+    for i, w in enumerate(words):
+        chart[(i, i + 1)] = dict.fromkeys(grammar.categories_of(w))
+    for span in range(2, n + 1):
+        for i in range(n - span + 1):
+            k = i + span
+            cell: dict[str, Optional[list[tuple[Rule, int]]]] = {}
+            for j in range(i + 1, k):
+                lefts = chart[(i, j)]
+                rights = chart[(j, k)]
+                if not lefts or not rights:
+                    continue
+                hits = [
+                    rule
+                    for category in lefts
+                    for rule in grammar.rules_with_left(category)
+                    if rule.right in rights
+                ]
+                if len(hits) > 1:
+                    hits.sort(key=rank.__getitem__)
+                for rule in hits:
+                    cell.setdefault(rule.parent, []).append((rule, j))
+            chart[(i, k)] = cell
+    return chart
+
+
 def enumerate_parses(grammar: Grammar, words, max_words: int = 10) -> tuple[ParseTree, ...]:
     """Every parse, by exhaustive chart; the oracle the serial parser is
-    measured against."""
+    measured against.
+
+    Trees come split point ascending, then in grammar rule order, then by
+    left subtree, then by right subtree. After the recognition pass, the
+    unpacking pass marks the cells that can reach (start, 0, n), longest
+    spans first, and then builds their trees, shortest spans first. Each
+    such cell's trees are built once and shared by every parent, so the
+    cost is one node per parse of a live cell; cells no parse uses build
+    nothing. Sentences over `max_words` raise BoundExceeded, because the
+    number of parses can grow exponentially with the length.
+    """
     words = list(words)
     n = len(words)
     if n == 0:
         return ()
     if n > max_words:
         raise BoundExceeded(n, max_words)
-    chart: dict[tuple[int, int], dict[str, list[ParseTree]]] = {}
-    for i, w in enumerate(words):
-        cell: dict[str, list[ParseTree]] = {}
-        for category in grammar.categories_of(w):
-            cell.setdefault(category, []).append(ParseTree(category, word=w))
-        chart[(i, i + 1)] = cell
-    for span in range(2, n + 1):
-        for i in range(n - span + 1):
-            k = i + span
-            cell = {}
-            for j in range(i + 1, k):
-                lefts = chart[(i, j)]
-                rights = chart[(j, k)]
-                for rule in grammar.rules:
-                    for lt in lefts.get(rule.left, ()):
-                        for rt in rights.get(rule.right, ()):
-                            cell.setdefault(rule.parent, []).append(
-                                ParseTree(rule.parent, (lt, rt))
-                            )
-            chart[(i, k)] = cell
-    return tuple(chart[(0, n)].get(grammar.start, ()))
+    chart = _recognize(grammar, words)
+    root = (grammar.start, 0, n)
+    if grammar.start not in chart[(0, n)]:
+        return ()
+    live = {root}
+    for (i, k) in reversed(chart):
+        for category, backpointers in chart[(i, k)].items():
+            if backpointers is not None and (category, i, k) in live:
+                for rule, j in backpointers:
+                    live.add((rule.left, i, j))
+                    live.add((rule.right, j, k))
+    trees: dict[tuple[str, int, int], list[ParseTree]] = {}
+    for (i, k), cell in chart.items():
+        for category, backpointers in cell.items():
+            key = (category, i, k)
+            if key not in live:
+                continue
+            if backpointers is None:
+                trees[key] = [ParseTree(category, word=words[i])]
+                continue
+            built: list[ParseTree] = []
+            for rule, j in backpointers:
+                lefts = trees[(rule.left, i, j)]
+                rights = trees[(rule.right, j, k)]
+                built += [ParseTree(category, (lt, rt)) for lt in lefts for rt in rights]
+            trees[key] = built
+    return tuple(trees[root])
+
+
+def count_parses(grammar: Grammar, words) -> ParseCount:
+    """How many parses `words` has, and the fewest internal nodes among
+    them, by dynamic programming over the packed chart. Builds no trees, so
+    it takes any length."""
+    words = list(words)
+    chart = _recognize(grammar, words)
+    tally: dict[tuple[str, int, int], tuple[int, int]] = {}  # (parses, min nodes)
+    for (i, k), cell in chart.items():
+        for category, backpointers in cell.items():
+            if backpointers is None:
+                tally[(category, i, k)] = (1, 0)
+                continue
+            pairs = [(tally[(r.left, i, j)], tally[(r.right, j, k)]) for r, j in backpointers]
+            tally[(category, i, k)] = (
+                sum(lp * rp for (lp, _), (rp, _) in pairs),
+                1 + min(ln + rn for (_, ln), (_, rn) in pairs),
+            )
+    return ParseCount(*tally.get((grammar.start, 0, len(words)), (0, None)))
 
 
 def is_garden_path(grammar: Grammar, words) -> bool:
-    """Grammatical, yet the serial parser chokes."""
-    if not enumerate_parses(grammar, words):
+    """Grammatical, yet the serial parser chokes. Grammaticality is read
+    from the packed chart, so any length is accepted."""
+    words = list(words)
+    if not count_parses(grammar, words).parses:
         return False
     try:
         parse_incremental(grammar, words)

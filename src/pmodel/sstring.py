@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import PmodelError
@@ -117,16 +118,22 @@ class SString:
         ):
             raise InvalidSString("coindexation must pair each index exactly once")
 
-    @property
+    @cached_property
     def coindex(self) -> dict[int, tuple[int, int]]:
-        """index -> (position of the Indexed item, position of its Trace)."""
-        halves: dict[int, dict[str, int]] = {}
+        """index -> (position of the Indexed item, position of its Trace).
+
+        Computed on first read and kept, as the string is frozen; every
+        read returns the same dict, so callers must not change it. The
+        cache sits outside the fields, so ==, hash and repr ignore it.
+        """
+        indexed: dict[int, int] = {}
+        traces: dict[int, int] = {}
         for pos, item in enumerate(self.items):
             if isinstance(item, Indexed):
-                halves.setdefault(item.index, {})["indexed"] = pos
+                indexed[item.index] = pos
             elif isinstance(item, Trace):
-                halves.setdefault(item.index, {})["trace"] = pos
-        return {i: (h["indexed"], h["trace"]) for i, h in sorted(halves.items())}
+                traces[item.index] = pos
+        return {i: (indexed[i], traces[i]) for i in sorted(indexed)}
 
 
 def render(s: SString) -> str:

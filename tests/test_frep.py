@@ -7,6 +7,7 @@ evaluated by the loop-based oracle from test_formal.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -151,6 +152,17 @@ def test_one_reading_with_scope_order():
     readings = resolve_scope(make_frep(scope_order=("y", "x")))
     assert [render_formula(r) for r in readings] == [
         "exists y. forall x. ((x in H & y in H) -> x S y)"
+    ]
+
+
+def test_rebound_variable_gives_each_reading_once():
+    # build_frep rejects shadowing, so the representation is built in code
+    f = replace(make_frep(), string=parse_formula("forall x. forall x. exists y. x S y"))
+    readings = [render_formula(r) for r in resolve_scope(f)]
+    assert readings == [
+        "forall x. forall x. exists y. x S y",
+        "forall x. exists y. forall x. x S y",
+        "exists y. forall x. forall x. x S y",
     ]
 
 

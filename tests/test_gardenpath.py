@@ -2,15 +2,25 @@
 
 The oracle here is a span-recursive chart parser written directly from the
 grammar definition (memoized divide and conquer over word ranges), so parse
-sets from enumerate_parses are checked against a second implementation.
+sets from enumerate_parses are checked against a second implementation. The
+order of the parses is pinned against a bottom-up chart that builds every
+tree of every cell, the way enumerate_parses worked before its packed
+forest.
 """
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
+import weakref
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, run_cli
 from pmodel.gardenpath import (
     BoundExceeded,
     Grammar,
@@ -18,9 +28,11 @@ from pmodel.gardenpath import (
     IncompleteParse,
     LexRule,
     NoAttachment,
+    ParseCount,
     ParserState,
     ParseTree,
     Rule,
+    count_parses,
     enumerate_parses,
     is_garden_path,
     load_grammar,
@@ -63,6 +75,78 @@ def oracle_trees(grammar: Grammar, words: list[str]) -> set[str]:
     return {render_tree(t) for t in spans(grammar.start, 0, len(words))}
 
 
+def reference_chart(grammar: Grammar, words: list[str]) -> list[str]:
+    """All parses of words, rendered, in the order of a bottom-up chart that
+    builds every tree of every cell: split point, then rule, then left tree,
+    then right tree."""
+    n = len(words)
+    if n == 0:
+        return []
+    chart: dict[tuple[int, int], dict[str, list[ParseTree]]] = {}
+    for i, w in enumerate(words):
+        cell: dict[str, list[ParseTree]] = {}
+        for category in grammar.categories_of(w):
+            cell.setdefault(category, []).append(ParseTree(category, word=w))
+        chart[(i, i + 1)] = cell
+    for span in range(2, n + 1):
+        for i in range(n - span + 1):
+            k = i + span
+            cell = {}
+            for j in range(i + 1, k):
+                for rule in grammar.rules:
+                    for lt in chart[(i, j)].get(rule.left, ()):
+                        for rt in chart[(j, k)].get(rule.right, ()):
+                            cell.setdefault(rule.parent, []).append(
+                                ParseTree(rule.parent, (lt, rt))
+                            )
+            chart[(i, k)] = cell
+    return [render_tree(t) for t in chart[(0, n)].get(grammar.start, ())]
+
+
+def fewest_words(grammar: Grammar) -> dict[str, int]:
+    """The fewest words each category can span."""
+    least = {rule.category: 1 for rule in grammar.lexical}
+    changed = True
+    while changed:
+        changed = False
+        for rule in grammar.rules:
+            if rule.left in least and rule.right in least:
+                m = least[rule.left] + least[rule.right]
+                if m < least.get(rule.parent, m + 1):
+                    least[rule.parent] = m
+                    changed = True
+    return least
+
+
+LEAST = fewest_words(GRAMMAR)
+VOCABULARY = sorted({rule.word for rule in GRAMMAR.lexical})
+
+
+@st.composite
+def derived_sentences(draw, max_words: int = 12) -> list[str]:
+    """A sentence derived from the start symbol, of at most max_words."""
+
+    def expand(category: str, budget: int) -> list[str]:
+        choices: list = [l.word for l in GRAMMAR.lexical if l.category == category]
+        choices += [
+            r
+            for r in GRAMMAR.rules
+            if r.parent == category and LEAST[r.left] + LEAST[r.right] <= budget
+        ]
+        pick = draw(st.sampled_from(choices))
+        if isinstance(pick, str):
+            return [pick]
+        left = expand(pick.left, budget - LEAST[pick.right])
+        return left + expand(pick.right, budget - len(left))
+
+    return expand(GRAMMAR.start, max_words)
+
+
+SENTENCE_DRAWS = st.one_of(
+    derived_sentences(), st.lists(st.sampled_from(VOCABULARY), max_size=8)
+)
+
+
 # ----------------------------------------------------------------- grammar
 
 
@@ -98,6 +182,54 @@ def test_enumerate_matches_oracle_on_junk():
         assert {render_tree(t) for t in enumerate_parses(GRAMMAR, words)} == oracle_trees(GRAMMAR, words)
 
 
+def test_enumerate_keeps_the_chart_order_on_corpus():
+    for words in SENTENCES + [PP_SENTENCE, GP_SENTENCE]:
+        got = [render_tree(t) for t in enumerate_parses(GRAMMAR, words)]
+        assert got == reference_chart(GRAMMAR, words), " ".join(words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SENTENCE_DRAWS)
+def test_enumerate_keeps_the_chart_order(words):
+    want = reference_chart(GRAMMAR, words)
+    parses = enumerate_parses(GRAMMAR, words, max_words=12)
+    assert [render_tree(t) for t in parses] == want
+    count = count_parses(GRAMMAR, words)
+    assert count.parses == len(want)
+    assert count.min_nodes == (min(t.size for t in parses) if parses else None)
+
+
+def test_order_follows_the_grammar_not_the_cell():
+    # 'a' is A before B, but the rule over B comes first in the grammar
+    grammar = Grammar(
+        "X",
+        (Rule("X", "B", "C"), Rule("X", "A", "C")),
+        (LexRule("A", "a"), LexRule("B", "a"), LexRule("C", "c")),
+    )
+    got = [render_tree(t) for t in enumerate_parses(grammar, ["a", "c"])]
+    assert got == reference_chart(grammar, ["a", "c"]) == ["(X (B a) (C c))", "(X (A a) (C c))"]
+
+
+def test_rules_with_left_keep_grammar_order():
+    for category in {r.left for r in GRAMMAR.rules} | {"IV", "nothing"}:
+        want = tuple(r for r in GRAMMAR.rules if r.left == category)
+        assert GRAMMAR.rules_with_left(category) == want
+
+
+def test_dropped_parses_need_no_cycle_collector():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        parses = enumerate_parses(GRAMMAR, PP_SENTENCE)
+        tree = weakref.ref(parses[0])
+        leaf = weakref.ref(parses[-1].children[0])
+        del parses
+        assert tree() is None and leaf() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_pp_attachment_is_twofold():
     parses = enumerate_parses(GRAMMAR, PP_SENTENCE)
     assert len(parses) == 2
@@ -108,6 +240,25 @@ def test_enumeration_bound():
     with pytest.raises(BoundExceeded):
         enumerate_parses(GRAMMAR, ["the"] * 11)
     assert enumerate_parses(GRAMMAR, []) == ()
+
+
+LADDER = "Jones saw Jones".split() + "in Jones".split() * 9  # 21 words
+
+
+def test_counts_take_any_length():
+    assert count_parses(GRAMMAR, LADDER) == ParseCount(16796, 20)
+    assert count_parses(GRAMMAR, ["the"] * 11) == ParseCount(0, None)
+    assert count_parses(GRAMMAR, []) == ParseCount(0, None)
+    assert not is_garden_path(GRAMMAR, LADDER)
+    assert is_garden_path(GRAMMAR, "Jones knows the man in the park with the dog left".split())
+
+
+def test_cli_oracle_counts_a_21_word_ladder():
+    code, out, err = run_cli(
+        "gardenpath", "--grammar", str(CORPUS_DIR / "grammar.cfg"), "--oracle", " ".join(LADDER)
+    )
+    assert (code, err) == (0, "")
+    assert out.endswith("parses: 16796\nminimal nodes: 20\ngarden path: no\n")
 
 
 # ---------------------------------------------------------- serial parsing
@@ -202,6 +353,7 @@ def test_non_garden_paths():
     assert not is_garden_path(GRAMMAR, ["the", "man", "left"])
     assert not is_garden_path(GRAMMAR, PP_SENTENCE)
     assert not is_garden_path(GRAMMAR, ["the", "gorilla", "left"])  # ungrammatical
+    assert not is_garden_path(GRAMMAR, iter(["the", "man", "left"]))  # read once
 
 
 def test_corpus_contains_a_garden_path():
@@ -209,6 +361,22 @@ def test_corpus_contains_a_garden_path():
 
 
 # ------------------------------------------------------------------- trees
+
+
+def test_parse_tree_is_a_frozen_value():
+    t = ParseTree("S", (ParseTree("NP", word="Jones"), ParseTree("IV", word="left")))
+    same = ParseTree("S", (ParseTree("NP", word="Jones"), ParseTree("IV", word="left")))
+    assert t == same and hash(t) == hash(same) and len({t, same}) == 1
+    assert t != ParseTree("S", (ParseTree("NP", word="Jones"), ParseTree("IV", word="fell")))
+    assert (t.label, t.word, t.children[1].word) == ("S", None, "left")
+    with pytest.raises(FrozenInstanceError):
+        t.label = "VP"
+    assert pickle.loads(pickle.dumps(t)) == t and copy.deepcopy(t) == t
+    assert repr(t.children[0]) == "ParseTree(label='NP', children=(), word='Jones')"
+    with pytest.raises(GrammarError):
+        ParseTree("NP", (t,), word="Jones")
+    with pytest.raises(GrammarError):
+        ParseTree("NP")
 
 
 def test_tree_size_counts_internal_nodes():

@@ -57,6 +57,16 @@ def test_coindex_map():
     assert s.coindex == {1: (1, 6)}
 
 
+def test_coindex_is_kept_outside_the_fields():
+    s = parse_sstring(RAISED, "LF")
+    fresh = parse_sstring(RAISED, "LF")
+    before = (render(s), repr(s), hash(s))
+    assert s.coindex == s.coindex == {1: (1, 5)}
+    assert s.coindex is s.coindex  # computed once
+    assert (render(s), repr(s), hash(s)) == before
+    assert s == fresh and hash(s) == hash(fresh)
+
+
 # ------------------------------------------------------------ invariants
 
 
