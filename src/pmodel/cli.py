@@ -161,6 +161,9 @@ def _parse_expect(raw: Optional[str], n_slots: int):
         raise lexicon.LexiconError(
             f"--expect lists {len(fields)} categories for {n_slots} tokens"
         )
+    for f in fields:
+        if f != "-" and f not in frep.CATEGORIES:
+            raise lexicon.LexiconError(f"unknown category {f!r} in --expect")
     return [None if f == "-" else {f} for f in fields]
 
 

@@ -17,14 +17,28 @@ order and never reordered:
              only after selection and never reorders it
 
 recognize() composes the stages per token and enforces a distance budget:
-a candidate is rejected when the distance exceeds half its form length
-(rounded up), so a token more than half unheard never produces a guess.
-Failure on a slot raises NoCandidate carrying the slot index and the
-entries recovered so far.
+a candidate is accepted only at distance <= ceil(len(form) / 2), half its
+form length rounded up. The budget counts edits, not unheard graphemes, so
+a token more than half unheard can still be recognized: "##w" is two edits
+from "saw", whose budget is 2. Failure on a slot raises NoCandidate carrying
+the slot index and the entries recovered so far.
+
+recognize() keeps one candidate per slot, so it does not rank the whole
+cohort at once. It passes the cohort to select and integrate in bands of
+doubling size (8, 16, 32, ...), in cohort order, most frequent first. Two
+lower bounds on a member's distance cost no pass over its form: the token's
+``#`` count (forms hold no ``#``) and the difference of the two lengths. A
+member whose bound exceeds its budget, or is no smaller than the best
+distance already found, is never ranked. The search stops once the best
+distance equals the ``#`` count, which no later member can beat. Cost: when
+the answer is frequent, a few small bands however large the cohort; at
+worst, one pass per member whose length fits, plus one length test for each
+of the others.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -242,10 +256,54 @@ def integrate(ranked: Ranked, expected) -> Ranked:
     return tuple((e, d) for e, d in ranked if e.category in allowed)
 
 
-def _budget(entry: LexEntry, threshold: Optional[int]) -> int:
+def _budget(length: int, threshold: Optional[int]) -> int:
+    """The most edits a form of `length` letters may be from its token."""
     if threshold is not None:
         return threshold
-    return (len(entry.form) + 1) // 2  # more than half unheard: no guess
+    return (length + 1) // 2
+
+
+_FIRST_BAND = 8  # members in recognize's first band; each next band doubles
+
+
+def _nearest(
+    cohort: Cohort, token: str, expected, threshold: Optional[int]
+) -> Optional[LexEntry]:
+    """The first in-budget, expected member in (distance, cohort order).
+
+    Walks the cohort in bands of doubling size, each ranked by `select` and
+    filtered by `integrate`. A member is left out of its band when its lower
+    bound exceeds its budget or is no smaller than the best distance found:
+    it cannot win, since a later band wins only at a strictly smaller
+    distance. The walk ends once the best distance equals the ``#`` count.
+    """
+    floor = token.count("#")  # forms hold no "#", so each costs an edit
+    m = len(token.casefold())
+    # A form of n letters is at least max(floor, |n - m|) edits away; past
+    # 2m + 1 letters (m + threshold) that exceeds every budget. Only lengths
+    # whose bound fits their budget are kept.
+    longest = 2 * m + 1 if threshold is None else m + threshold
+    bounds = {}
+    for n in range(longest + 1):
+        lb = max(floor, abs(n - m))
+        if lb <= _budget(n, threshold):
+            bounds[n] = lb
+    members = cohort.members
+    best, best_d = None, math.inf
+    start, size = 0, _FIRST_BAND
+    while start < len(members) and best_d > floor:
+        # A length missing from `bounds` is out of budget: best_d < best_d.
+        band = tuple(
+            e for e in members[start : start + size] if bounds.get(len(e.form), best_d) < best_d
+        )
+        start, size = start + size, 2 * size
+        if not band:
+            continue
+        ranked = integrate(select(Cohort._ordered(cohort.prefix, band), token), expected)
+        hit = next(((e, d) for e, d in ranked if d <= _budget(len(e.form), threshold)), None)
+        if hit is not None and hit[1] < best_d:
+            best, best_d = hit
+    return best
 
 
 def recognize(
@@ -262,12 +320,12 @@ def recognize(
         raise LexiconError("recognize needs at least one token")
     if expected_per_slot is not None and len(expected_per_slot) != len(tokens):
         raise LexiconError("expected_per_slot does not align with tokens")
+    if threshold is not None and threshold < 0:
+        raise LexiconError(f"negative threshold {threshold}")
     out: list[LexEntry] = []
     for slot, token in enumerate(tokens):
         expected = expected_per_slot[slot] if expected_per_slot is not None else None
-        cohort = access(lexicon, token.split("#", 1)[0])
-        ranked = integrate(select(cohort, token), expected)
-        best = next((e for e, d in ranked if d <= _budget(e, threshold)), None)
+        best = _nearest(access(lexicon, token.split("#", 1)[0]), token, expected, threshold)
         if best is None:
             raise NoCandidate(slot, token, tuple(out))
         out.append(best)

@@ -129,6 +129,23 @@ def test_recognize_failure_marks_slot():
     assert "no candidate at slot 1" in err
 
 
+@pytest.mark.parametrize(
+    "options,sentence,named",
+    [
+        (["--expect", "v"], "s#w", "'v'"),
+        (["--expect", "Z"], "s#w", "'Z'"),
+        (["--expect", "N,Z"], "Jon#s s#w", "'Z'"),
+        (["--threshold", "-1"], "s#w", "-1"),
+    ],
+)
+def test_recognize_bad_arguments_exit_1_with_one_error_line(options, sentence, named):
+    lex = str(CORPUS_DIR / "lexicon.tsv")
+    code, out, err = run_cli("recognize", "--lexicon", lex, *options, sentence)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and named in err and "no candidate" not in err
+    assert len(err.splitlines()) == 1
+
+
 def test_gardenpath_without_oracle_fails_on_gp_sentence():
     g = str(CORPUS_DIR / "grammar.cfg")
     code, _, err = run_cli("gardenpath", "--grammar", g, "the woman knows the man left")

@@ -2,11 +2,14 @@
 
 Every name a `src/pmodel` module imports must be used in that module or be
 listed in its `__all__`; an import kept only for re-export without being
-declared is dead weight that a rewrite can leave behind unnoticed.
+declared is dead weight that a rewrite can leave behind unnoticed. For the
+same reason, every module-level `_private` function or class must be
+referenced somewhere in the package outside its own definition.
 """
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,6 +47,31 @@ def unused_imports(path: Path) -> list[str]:
     return [f"{path.name}:{line}: {name}" for name, line in _imported(tree).items() if name not in kept]
 
 
+def _references(tree: ast.AST) -> Counter[str]:
+    """How often each name is read, as a bare name or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_private_definitions(paths) -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in paths}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    dead = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") and not name.startswith("__"):
+                # references inside the definition itself (recursion) do not count
+                if everywhere[name] - _references(node)[name] == 0:
+                    dead.append(f"{path.name}:{node.lineno}: {name}")
+    return dead
+
+
 def test_package_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "formal.py", "frep.py", "pipeline.py"}
 
@@ -51,3 +79,7 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def test_no_unreferenced_private_definitions():
+    assert unreferenced_private_definitions(MODULES) == []

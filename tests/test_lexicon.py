@@ -4,7 +4,9 @@ The distance oracle below is the textbook recursive Levenshtein definition,
 memoized but otherwise untouched, so the package's bit-parallel version is
 checked against an independent formulation. The stages are checked the same
 way against plain references: a linear scan for access and the oracle's
-distances, fully sorted, for select.
+distances, fully sorted, for select. `recognize` is checked against a
+reference that ranks the whole cohort at once, on lexicons large enough for
+its answer to sit past the first band it ranks.
 """
 from __future__ import annotations
 
@@ -147,8 +149,8 @@ def lexicons(draw):
     entries, seen = [], set()
     for form, category, frequency in draw(
         st.lists(
-            st.tuples(_FORMS, st.sampled_from(["N", "V", "P"]), st.integers(0, 2)),
-            max_size=14,
+            st.tuples(_FORMS, st.sampled_from(["N", "V", "P"]), st.integers(0, 5)),
+            max_size=80,
         )
     ):
         if (form.casefold(), category) not in seen:
@@ -194,6 +196,10 @@ def test_recognize_matches_reference(lexicon, data):
     per_slot = st.lists(_EXPECTED, min_size=len(tokens), max_size=len(tokens))
     expected = data.draw(st.one_of(st.none(), per_slot))
     threshold = data.draw(st.one_of(st.none(), st.integers(0, 3)))
+    assert_recognize_matches_reference(lexicon, tokens, expected, threshold)
+
+
+def assert_recognize_matches_reference(lexicon, tokens, expected=None, threshold=None):
     want, slot = ref_recognize(lexicon, tokens, expected, threshold)
     if slot is None:
         assert recognize(lexicon, tokens, expected, threshold) == want
@@ -202,6 +208,113 @@ def test_recognize_matches_reference(lexicon, data):
         recognize(lexicon, tokens, expected, threshold)
     assert (exc.value.slot, exc.value.token, exc.value.partial) == (slot, tokens[slot], want)
     assert str(exc.value) == f"no candidate for token {tokens[slot]!r} at slot {slot}"
+
+
+def _entry(form, frequency, category="N"):
+    return LexEntry(form, category, frozenset(), frequency)
+
+
+# Far from every token below and out of its budget; frequency 5 puts them
+# ahead of every other entry in these lexicons, filling the first bands.
+_PADDING = tuple(_entry(c * k, 5) for c in "sz" for k in range(1, 11))
+
+
+def _selected(monkeypatch):
+    """Patch `select` to record the members of each band it ranks."""
+    import pmodel.lexicon as module
+
+    bands = []
+    real = module.select
+
+    def counting(cohort, observed):
+        bands.append(cohort.members)
+        return real(cohort, observed)
+
+    monkeypatch.setattr(module, "select", counting)
+    return bands
+
+
+def test_band_search_runs_on_when_the_best_exceeds_the_hash_count(monkeypatch):
+    # "abkkab" is two edits from "#bkab", one more than its "#" count, so a
+    # later band could still hold a distance-1 member: every band is ranked.
+    winner, tie, far = _entry("abkkab", 3), _entry("bbkkab", 0), _entry("bbkkabab", 0)
+    fillers = tuple(_entry("k" * k, 2) for k in (3, 4, 5))
+    lexicon = Lexicon(_PADDING + (winner, tie, far) + fillers)
+    order = access(lexicon, "").members
+    assert 8 <= order.index(winner) < 24 <= order.index(tie)  # bands 2 and 3
+    assert_recognize_matches_reference(lexicon, ["#bkab"])
+    bands = _selected(monkeypatch)
+    assert recognize(lexicon, ["#bkab"]) == (winner,)
+    assert len(bands) == 3 and winner in bands[1] and tie in bands[2]
+
+
+def test_band_search_keeps_the_earlier_band_on_equal_distance(monkeypatch):
+    first, later = _entry("abkkab", 5), _entry("bbkkab", 0)  # both two edits away
+    lexicon = Lexicon((first,) + _PADDING + (later,))
+    assert_recognize_matches_reference(lexicon, ["#bkab"])
+    bands = _selected(monkeypatch)
+    assert recognize(lexicon, ["#bkab"]) == (first,)
+    assert len(bands) == 2 and first in bands[0] and later in bands[1]
+
+
+def test_band_search_replaces_the_best_at_a_smaller_distance():
+    lexicon = Lexicon((_entry("abkkab", 5),) + _PADDING + (_entry("abkab", 0, "V"),))
+    assert_recognize_matches_reference(lexicon, ["#bkab"])
+    assert recognize(lexicon, ["#bkab"])[0].form == "abkab"
+    assert_recognize_matches_reference(lexicon, ["#bkab"], [{"N"}])
+
+
+def test_band_search_measures_the_casefolded_token():
+    # "#ßß" casefolds to "#ssss", five characters: "sssss", one edit away,
+    # must not be bounded by the three characters of the token as written.
+    near, nearer = _entry("sss", 5), _entry("sssss", 0)
+    lexicon = Lexicon((near,) + _PADDING[10:] + (nearer,))
+    assert_recognize_matches_reference(lexicon, ["#\u00df\u00df"])
+    assert recognize(lexicon, ["#\u00df\u00df"]) == (nearer,)
+
+
+def test_band_search_with_a_zero_threshold(monkeypatch):
+    longer = tuple(_entry("bab" + tail, 5) for tail in ("a", "b", "k", "s", "aa", "bb", "kk", "ss"))
+    lexicon = Lexicon(longer + _PADDING + (_entry("bab", 0),))
+    assert access(lexicon, "bab").members[8] == _entry("bab", 0)  # second band
+    assert_recognize_matches_reference(lexicon, ["bab", "#ab"], threshold=0)
+    assert recognize(lexicon, ["bab"], threshold=0) == (_entry("bab", 0),)
+    bands = _selected(monkeypatch)
+    with pytest.raises(NoCandidate):
+        recognize(lexicon, ["#ab"], threshold=0)
+    assert bands == []  # every member's "#" bound exceeds a budget of 0
+
+
+# ------------------------------------------------------------- work bound
+
+
+def _large_lexicon(size=5000, seed=4177):
+    """The corpus lexicon plus seeded distractors of 3-10 lowercase letters,
+    every one less frequent than every corpus word."""
+    rng = random.Random(seed)
+    entries = list(LEXICON.entries)
+    floor = min(e.frequency for e in entries)
+    taken = {e.form.casefold() for e in entries}
+    while len(entries) < size:
+        form = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(rng.randint(3, 10)))
+        if form not in taken:
+            taken.add(form)
+            entries.append(_entry(form, rng.randrange(floor), rng.choice(CATEGORIES)))
+    rng.shuffle(entries)
+    return Lexicon(tuple(entries))
+
+
+def test_position_0_recognition_ranks_a_bounded_band(monkeypatch):
+    lexicon = _large_lexicon()
+    assert len(access(lexicon, "").members) == 5000
+    bands = _selected(monkeypatch)
+    for word in LEXICON.entries:
+        token = "#" + word.form[1:]
+        for expected in (None, [{word.category}]):
+            bands.clear()
+            assert recognize(lexicon, [token], expected) == (word,)
+            ranked = sum(len(band) for band in bands)
+            assert ranked <= 64, (token, expected, ranked)
 
 
 # ----------------------------------------------------------------- entries
@@ -346,6 +459,20 @@ def test_recognize_threshold_override():
         recognize(LEXICON, ["s#w"], threshold=0)
     (entry,) = recognize(LEXICON, ["s#w"], threshold=1)
     assert entry.form == "saw"
+
+
+def test_recognize_rejects_a_negative_threshold():
+    with pytest.raises(LexiconError, match="negative threshold -1"):
+        recognize(LEXICON, ["s#w"], threshold=-1)
+
+
+def test_budget_counts_edits_not_unheard_graphemes():
+    # Two of three graphemes unheard, yet "saw" is two edits away, within
+    # ceil(3 / 2) = 2; "s###" is beyond the budget of every form in its cohort.
+    (entry,) = recognize(LEXICON, ["##w"])
+    assert entry.form == "saw"
+    with pytest.raises(NoCandidate):
+        recognize(LEXICON, ["s###"])
 
 
 def test_default_budget_scales_with_form_length():
