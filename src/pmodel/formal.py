@@ -26,12 +26,13 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, 
 from .errors import PmodelError
 
 # Deepest nesting parse_formula accepts. Each quantifier, query, negation and
-# opening parenthesis is one level. The parser and the recursive functions
-# of this module (rendering, rewriting, evaluation) use about one interpreter
-# frame per level, so parsed formulas stay well inside Python's default
-# recursion limit of 1000. render_formula writes a negation of a non-binary
-# body as "!(...)", two levels, so a formula built in code more than
-# MAX_NESTING // 2 levels deep may render to text the parser refuses.
+# opening parenthesis is one level, except that a parenthesis directly after
+# a negation shares the negation's level: render_formula writes a negation
+# of a non-binary body as "!(...)", so every formula the parser accepts
+# renders to text it accepts again. The parser uses at most two interpreter
+# frames per level and the recursive functions of this module (rendering,
+# rewriting, evaluation) about one, so parsed formulas stay well inside
+# Python's default recursion limit of 1000.
 MAX_NESTING = 200
 
 _VARIABLE_RE = re.compile(r"[a-z][0-9]*\Z")
@@ -320,20 +321,8 @@ def _lex(text: str) -> Iterator[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c == "(":
-            yield _Token("(", c, i)
-        elif c == ")":
-            yield _Token(")", c, i)
-        elif c == ".":
-            yield _Token(".", c, i)
-        elif c == ",":
-            yield _Token(",", c, i)
-        elif c == "=":
-            yield _Token("=", c, i)
-        elif c == "/":
-            yield _Token("/", c, i)
-        elif c == "&":
-            yield _Token("&", c, i)
+        if c in "().,=/&":
+            yield _Token(c, c, i)
         elif text.startswith("->", i):
             yield _Token("->", "->", i)
             i += 2
@@ -440,7 +429,7 @@ class _Parser:
             return ProbAssertion(event, Fraction(int(num.text), int(den.text)))
         if tok.kind == "!":
             self.take()
-            return Not(self.formula(depth + 1))
+            return Not(self.formula(depth + (self.peek().kind != "(")))
         if tok.kind == "(":
             self.take()
             left = self.formula(depth + 1)
@@ -489,72 +478,6 @@ def parse_formula(text: str) -> Formula:
     if tail.kind != "eof":
         raise FormulaSyntaxError(f"trailing input {tail.text!r}", tail.offset, ("end of input",))
     return f
-
-
-# ------------------------------------------------------------------ JSON
-
-_JSON_TAG = {And: "and", Or: "or", Implies: "implies", Sheffer: "sheffer", Pierce: "pierce"}
-_TAG_TO_BINARY = {tag: cls for cls, tag in _JSON_TAG.items()}
-
-
-def formula_to_json(f: Formula) -> dict:
-    match f:
-        case Atom(name):
-            return {"node": "atom", "name": name}
-        case Membership(subject, predicate, obj):
-            return {
-                "node": "membership",
-                "subject": {"kind": subject.kind, "name": subject.name},
-                "predicate": predicate,
-                "object": None if obj is None else {"kind": obj.kind, "name": obj.name},
-            }
-        case Not(body):
-            return {"node": "not", "body": formula_to_json(body)}
-        case Forall(v, body):
-            return {"node": "forall", "variable": v, "body": formula_to_json(body)}
-        case Exists(v, body):
-            return {"node": "exists", "variable": v, "body": formula_to_json(body)}
-        case WhQuery(v, restrictor, body):
-            return {
-                "node": "wh",
-                "variable": v,
-                "restrictor": formula_to_json(restrictor),
-                "body": formula_to_json(body),
-            }
-        case ProbAssertion(event, p):
-            return {"node": "prob", "event": event, "p": f"{p.numerator}/{p.denominator}"}
-        case _:
-            return {
-                "node": _JSON_TAG[type(f)],
-                "left": formula_to_json(f.left),
-                "right": formula_to_json(f.right),
-            }
-
-
-def formula_from_json(data: Mapping) -> Formula:
-    node = data["node"]
-    if node == "atom":
-        return Atom(data["name"])
-    if node == "membership":
-        subj = Term(data["subject"]["kind"], data["subject"]["name"])
-        obj = data.get("object")
-        return Membership(subj, data["predicate"], Term(obj["kind"], obj["name"]) if obj else None)
-    if node == "not":
-        return Not(formula_from_json(data["body"]))
-    if node == "forall":
-        return Forall(data["variable"], formula_from_json(data["body"]))
-    if node == "exists":
-        return Exists(data["variable"], formula_from_json(data["body"]))
-    if node == "wh":
-        return WhQuery(
-            data["variable"],
-            formula_from_json(data["restrictor"]),
-            formula_from_json(data["body"]),
-        )
-    if node == "prob":
-        return ProbAssertion(data["event"], Fraction(data["p"]))
-    cls = _TAG_TO_BINARY[node]
-    return cls(formula_from_json(data["left"]), formula_from_json(data["right"]))
 
 
 # -------------------------------------------------------------- evaluation

@@ -248,7 +248,6 @@ class Frame:
 
     rule: Rule
     left: ParseTree
-    ts: int  # when this node was opened; larger = more recent
 
     @property
     def expect(self) -> str:
@@ -259,7 +258,6 @@ class Frame:
 class ParserState:
     frames: tuple[Frame, ...] = ()
     pending: Optional[ParseTree] = None  # completed, not yet attached
-    next_ts: int = 0
 
 
 @dataclass(frozen=True)
@@ -285,10 +283,10 @@ def _expectation(grammar: Grammar, frames: list[Frame]) -> str:
 
 def _dispose(grammar: Grammar, state: ParserState):
     """Ways to clear the pending slot: r reduces, then adjoin as a left
-    corner. Yields (frames, pops, new_nodes, next_ts), fewest reduces first.
+    corner. Yields (frames, pops, new_nodes), fewest reduces first.
     """
     if state.pending is None:
-        return [(list(state.frames), 0, 0, state.next_ts)]
+        return [(list(state.frames), 0, 0)]
     out = []
     frames = list(state.frames)
     pend = state.pending
@@ -297,9 +295,7 @@ def _dispose(grammar: Grammar, state: ParserState):
         corners = grammar.left_corners(_expectation(grammar, frames))
         for rule in grammar.rules_with_left(pend.label):
             if rule.parent in corners:
-                out.append(
-                    (frames + [Frame(rule, pend, state.next_ts)], pops, 1, state.next_ts + 1)
-                )
+                out.append((frames + [Frame(rule, pend)], pops, 1))
         if frames and frames[-1].expect == pend.label:
             top = frames.pop()
             pend = ParseTree(top.rule.parent, (top.left, pend))
@@ -314,14 +310,14 @@ def step(grammar: Grammar, state: ParserState, word: str):
     options: list[tuple[ParserState, StepInfo]] = []
     for category in grammar.categories_of(word):
         leaf = ParseTree(category, word=word)
-        for frames, pops, dnodes, ts in _dispose(grammar, state):
+        for frames, pops, dnodes in _dispose(grammar, state):
             exp = _expectation(grammar, frames)
             if frames and exp == category:
                 top = frames[-1]
                 done = ParseTree(top.rule.parent, (top.left, leaf))
                 options.append(
                     (
-                        ParserState(tuple(frames[:-1]), done, ts),
+                        ParserState(tuple(frames[:-1]), done),
                         StepInfo(category, dnodes, pops + 1),
                     )
                 )
@@ -330,12 +326,12 @@ def step(grammar: Grammar, state: ParserState, word: str):
                 if rule.parent in corners:
                     options.append(
                         (
-                            ParserState(tuple(frames) + (Frame(rule, leaf, ts),), None, ts + 1),
+                            ParserState(tuple(frames) + (Frame(rule, leaf),)),
                             StepInfo(category, dnodes + 1, pops),
                         )
                     )
             if not frames and category == grammar.start:
-                options.append((ParserState((), leaf, ts), StepInfo(category, dnodes, pops)))
+                options.append((ParserState((), leaf), StepInfo(category, dnodes, pops)))
     return options
 
 

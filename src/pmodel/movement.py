@@ -69,14 +69,12 @@ class BindingViolation(MovementError):
 
 @dataclass(frozen=True)
 class GrammarConfig:
-    """Word-class knowledge and movement switches for a (toy) language."""
+    """Word-class knowledge for a (toy) language."""
 
     quantifier_words: frozenset[str] = frozenset(
         {"everyone", "everybody", "everything", "someone", "somebody", "something"}
     )
     wh_words: frozenset[str] = frozenset({"who", "whom", "what", "which", "whose"})
-    wh_fronting: bool = True
-    quantifiers_land_last: bool = False  # alternative landing site, off by default
 
 
 DEFAULT_CONFIG = GrammarConfig()
@@ -148,9 +146,7 @@ def quantifier_raise(
     mover = Indexed(word.text, index)
     crossed = any(p < qpos for p in _audible_positions(s.items))
     items: list
-    if config.quantifiers_land_last:
-        items = rest + [mover]
-    elif crossed:
+    if crossed:
         items = [OpenBracket(), mover, OpenBracket(), *rest, CloseBracket(), CloseBracket()]
     else:
         items = [mover] + rest
@@ -176,11 +172,15 @@ def wh_raise(s: SString, config: GrammarConfig = DEFAULT_CONFIG) -> SString:
     t_traces = [it for it in s.items if isinstance(it, Trace) and it.kind == "t"]
     if len(t_traces) > 1:
         raise BrokenCoindexation("more than one t-trace")
-    items = [
-        Trace("x", it.index) if isinstance(it, Trace) and it.kind == "t" else it
-        for it in s.items
-    ]
-    return SString("LF", tuple(items), s.punctuation)
+    return to_lf(s)
+
+
+def to_lf(s: SString) -> SString:
+    """Read s at LF: every t-trace becomes an x-trace, order unchanged."""
+    items = tuple(
+        Trace("x", it.index) if isinstance(it, Trace) and it.kind == "t" else it for it in s.items
+    )
+    return SString("LF", items, s.punctuation)
 
 
 def _lower(
@@ -271,7 +271,7 @@ def apply_emphasis(
         for pos, it in enumerate(items)
         if isinstance(it, (Word, Indexed)) and it.text.lower() in config.wh_words
     ]
-    if mood == "interrogative" and wh_positions and config.wh_fronting:
+    if mood == "interrogative" and wh_positions:
         if len(wh_positions) > 1:
             raise MultipleWhItems("more than one Wh item")
         moved_index = _front(items, wh_positions[0])

@@ -30,6 +30,7 @@ from .formal import (
     Term,
     WhQuery,
     canonicalize,
+    const,
     is_variable_name,
     render_formula,
     split_prefix,
@@ -45,6 +46,7 @@ from .movement import (
     quantifier_lower,
     quantifier_raise,
     record_to_json,
+    to_lf,
     wh_lower,
     wh_raise,
 )
@@ -95,8 +97,6 @@ def config_for(f: FRepresentation, base: GrammarConfig = DEFAULT_CONFIG) -> Gram
         quantifier_words=base.quantifier_words
         | {r.word.lower() for r in f.lexical if r.category == "Q"},
         wh_words=base.wh_words | {r.word.lower() for r in f.lexical if r.category == "WH"},
-        wh_fronting=base.wh_fronting,
-        quantifiers_land_last=base.quantifiers_land_last,
     )
 
 
@@ -239,13 +239,6 @@ def derive_p(
     return Derivation("P", steps, warnings, frep=f)
 
 
-def _retype_t_traces(s: SString) -> SString:
-    items = tuple(
-        Trace("x", it.index) if isinstance(it, Trace) and it.kind == "t" else it for it in s.items
-    )
-    return SString("LF", items, s.punctuation)
-
-
 def derive_t(
     ds: SString,
     force: Force,
@@ -288,7 +281,7 @@ def derive_t(
             raised, record = quantifier_raise(_relabel(s, "SS"), pos, config)
             records.append(record)
             s = raised
-        lf = _retype_t_traces(s)
+        lf = to_lf(s)
     steps = (
         DerivationStep(ds),
         DerivationStep(ss, (emphasis_record,) if emphasis_record else ()),
@@ -309,14 +302,18 @@ def delexicalize(lf: SString, f: FRepresentation) -> Formula:
     flat = [it for it in lf.items if not isinstance(it, (OpenBracket, CloseBracket))]
     i = 0
     prefix: list[Formula] = []
-    var_by_index: dict[int, str] = {}
+    term_by_index: dict[int, Term] = {}
     while i < len(flat) and isinstance(flat[i], Indexed):
         word = flat[i].text.lower()
         symbol = symbol_by_word.get(word)
-        if symbol is None or not is_variable_name(symbol) or symbol not in binder_of:
+        if symbol is not None and not is_variable_name(symbol):
+            # a fronted name is topicalization: its chain reads as the constant
+            term_by_index[flat[i].index] = const(symbol)
+        elif symbol in binder_of:
+            prefix.append(binder_of[symbol])
+            term_by_index[flat[i].index] = var(symbol)
+        else:
             raise DelexicalizeFailure(f"fronted word {word!r} is not a known quantifier")
-        prefix.append(binder_of[symbol])
-        var_by_index[flat[i].index] = symbol
         i += 1
 
     terms: list = []
@@ -329,9 +326,9 @@ def delexicalize(lf: SString, f: FRepresentation) -> Formula:
                 raise DelexicalizeFailure(f"word {it.text!r} has no symbol")
             terms.append(symbol)
         elif isinstance(it, Trace):
-            if it.index not in var_by_index:
+            if it.index not in term_by_index:
                 raise DelexicalizeFailure(f"trace {it.index} has no fronted binder")
-            terms.append(var(var_by_index[it.index]))
+            terms.append(term_by_index[it.index])
         else:
             raise DelexicalizeFailure(f"unexpected item {it!r} in the matrix")
 

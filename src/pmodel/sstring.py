@@ -233,41 +233,6 @@ def equivalent_mod_indices(a: SString, b: SString) -> bool:
     return True
 
 
-def sstring_to_json(s: SString) -> dict:
-    out: list[dict] = []
-    for item in s.items:
-        if isinstance(item, Word):
-            out.append({"kind": "word", "text": item.text})
-        elif isinstance(item, Indexed):
-            out.append({"kind": "indexed", "text": item.text, "index": item.index})
-        elif isinstance(item, Trace):
-            out.append({"kind": "trace", "trace": item.kind, "index": item.index})
-        elif isinstance(item, OpenBracket):
-            out.append({"kind": "open", "label": item.label})
-        else:
-            out.append({"kind": "close"})
-    return {"level": s.level, "punctuation": s.punctuation, "items": out}
-
-
-def sstring_from_json(data) -> SString:
-    items: list[Item] = []
-    for entry in data["items"]:
-        kind = entry["kind"]
-        if kind == "word":
-            items.append(Word(entry["text"]))
-        elif kind == "indexed":
-            items.append(Indexed(entry["text"], entry["index"]))
-        elif kind == "trace":
-            items.append(Trace(entry["trace"], entry["index"]))
-        elif kind == "open":
-            items.append(OpenBracket(entry.get("label")))
-        elif kind == "close":
-            items.append(CloseBracket())
-        else:
-            raise InvalidSString(f"bad item kind: {kind!r}")
-    return SString(data["level"], tuple(items), data.get("punctuation"))
-
-
 def to_dot(s: SString) -> str:
     """Flat token chain with dashed coindexation arcs."""
     lines = ["digraph sstring {", "  rankdir=LR;", "  node [shape=box];"]

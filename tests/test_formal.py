@@ -7,7 +7,6 @@ an implementation that shares no code with the package.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -38,8 +37,6 @@ from pmodel.formal import (
     canonicalize,
     const,
     evaluate,
-    formula_from_json,
-    formula_to_json,
     free_vars,
     model_from_json,
     model_to_json,
@@ -178,9 +175,20 @@ def test_nesting_limit():
     assert render_formula(f) == "!(" * MAX_NESTING + "p" + ")" * MAX_NESTING
     assert _dag_mask(to_sheffer(f), {}) == 0b10  # an even number of negations
     assert evaluate(f, DUMMY, {"p": True}) is True
-    for text in ("!" + deepest, "(" * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1)):
+    for text in (
+        "!" + deepest,
+        "(" * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1),
+        "!(" * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1),
+    ):
         with pytest.raises(FormulaSyntaxError, match="nested deeper"):
             parse_formula(text)
+
+
+@pytest.mark.parametrize("n", [1, 101, MAX_NESTING])
+def test_rendered_negation_chain_parses_back(n):
+    # render_formula writes each of these negations as "!(...)"
+    f = parse_formula("!" * n + "x in H")
+    assert parse_formula(render_formula(f)) == f
 
 
 def test_syntax_error_carries_offset():
@@ -239,82 +247,6 @@ def fo_formulas():
 @given(st.one_of(prop_formulas(), fo_formulas()))
 def test_render_parse_roundtrip(f):
     assert parse_formula(render_formula(f)) == f
-
-
-@given(st.one_of(prop_formulas(), fo_formulas()))
-def test_formula_json_roundtrip(f):
-    assert formula_from_json(formula_to_json(f)) == f
-
-
-def _term_json(kind, name):
-    return {"kind": kind, "name": name}
-
-
-def test_formula_json_pins_every_node_type():
-    f = parse_formula(
-        "wh x. (x in H , forall y. exists z. ((p & !(prob(snow) = 1/2))"
-        " v ((J S y -> (q |/ r)) & (z in L !v p))))"
-    )
-    p = {"node": "atom", "name": "p"}
-    want = {
-        "node": "wh",
-        "variable": "x",
-        "restrictor": {
-            "node": "membership",
-            "subject": _term_json("variable", "x"),
-            "predicate": "H",
-            "object": None,
-        },
-        "body": {
-            "node": "forall",
-            "variable": "y",
-            "body": {
-                "node": "exists",
-                "variable": "z",
-                "body": {
-                    "node": "or",
-                    "left": {
-                        "node": "and",
-                        "left": p,
-                        "right": {
-                            "node": "not",
-                            "body": {"node": "prob", "event": "snow", "p": "1/2"},
-                        },
-                    },
-                    "right": {
-                        "node": "and",
-                        "left": {
-                            "node": "implies",
-                            "left": {
-                                "node": "membership",
-                                "subject": _term_json("constant", "J"),
-                                "predicate": "S",
-                                "object": _term_json("variable", "y"),
-                            },
-                            "right": {
-                                "node": "sheffer",
-                                "left": {"node": "atom", "name": "q"},
-                                "right": {"node": "atom", "name": "r"},
-                            },
-                        },
-                        "right": {
-                            "node": "pierce",
-                            "left": {
-                                "node": "membership",
-                                "subject": _term_json("variable", "z"),
-                                "predicate": "L",
-                                "object": None,
-                            },
-                            "right": p,
-                        },
-                    },
-                },
-            },
-        },
-    }
-    # key order too: the serialized text is what files and tools see
-    assert json.dumps(formula_to_json(f)) == json.dumps(want)
-    assert formula_from_json(want) == f
 
 
 @given(prop_formulas(), st.integers(min_value=0, max_value=7))

@@ -4,7 +4,8 @@ Every name a `src/pmodel` module imports must be used in that module or be
 listed in its `__all__`; an import kept only for re-export without being
 declared is dead weight that a rewrite can leave behind unnoticed. For the
 same reason, every module-level `_private` function or class must be
-referenced somewhere in the package outside its own definition.
+referenced somewhere in the package outside its own definition, and every
+public one must be referenced so or be exported in `pmodel.__all__`.
 """
 from __future__ import annotations
 
@@ -56,7 +57,9 @@ def _references(tree: ast.AST) -> Counter[str]:
     )
 
 
-def unreferenced_private_definitions(paths) -> list[str]:
+def _unreferenced_definitions(paths, wanted) -> list[str]:
+    """Module-level functions and classes for which wanted(name) holds that
+    nothing in the package references outside their own definition."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in paths}
     everywhere = sum((_references(tree) for tree in trees.values()), Counter())
     dead = []
@@ -65,11 +68,21 @@ def unreferenced_private_definitions(paths) -> list[str]:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
-            if name.startswith("_") and not name.startswith("__"):
-                # references inside the definition itself (recursion) do not count
-                if everywhere[name] - _references(node)[name] == 0:
-                    dead.append(f"{path.name}:{node.lineno}: {name}")
+            # references inside the definition itself (recursion) do not count
+            if wanted(name) and everywhere[name] - _references(node)[name] == 0:
+                dead.append(f"{path.name}:{node.lineno}: {name}")
     return dead
+
+
+def unreferenced_private_definitions(paths) -> list[str]:
+    return _unreferenced_definitions(paths, lambda name: name.startswith("_") and not name.startswith("__"))
+
+
+def unexported_public_definitions(paths) -> list[str]:
+    exported = _exported(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")))
+    return _unreferenced_definitions(
+        paths, lambda name: not name.startswith("_") and name not in exported
+    )
 
 
 def test_package_modules_found():
@@ -83,3 +96,7 @@ def test_no_unused_imports(path):
 
 def test_no_unreferenced_private_definitions():
     assert unreferenced_private_definitions(MODULES) == []
+
+
+def test_public_definitions_are_referenced_or_exported():
+    assert unexported_public_definitions(MODULES) == []

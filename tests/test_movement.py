@@ -27,7 +27,6 @@ from pmodel.movement import (
     DEFAULT_CONFIG,
     BrokenCoindexation,
     EmphasisTargetMissing,
-    GrammarConfig,
     LevelMismatch,
     MovementRecord,
     MultipleWhItems,
@@ -123,12 +122,6 @@ def test_subject_quantifier_raises_without_decoration():
     ss = parse_sstring("Everyone slept", "SS")
     lf, _ = quantifier_raise(ss, 0)
     assert render(lf) == "Everyone_1 x_1 slept"
-
-
-def test_alternative_landing_site():
-    cfg = GrammarConfig(quantifiers_land_last=True)
-    lf, _ = quantifier_raise(parse_sstring("Jones saw everyone", "SS"), 2, cfg)
-    assert render(lf) == "Jones saw x_1 everyone_1"
 
 
 # ----------------------------------------------------------------- errors

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import CORPUS_DIR
 from pmodel.formal import render_formula
-from pmodel.frep import Force, load_frep, resolve_scope
+from pmodel.frep import Force, frep_from_json, load_frep, resolve_scope
 from pmodel.pipeline import (
     CompareReport,
     Derivation,
@@ -175,6 +175,46 @@ def test_compare_matches_movement_records():
     p_ss = r.p.steps[1].movements
     t_ss = r.t.steps[1].movements
     assert p_ss == t_ss and p_ss[0].operation == "wh_fronting"
+
+
+def _name_frep(string, emphasis, words):
+    return frep_from_json(
+        {
+            "frep_version": 1,
+            "external": {"Wilson": 3},
+            "lexical": [
+                {"symbol": symbol, "word": word, "category": category}
+                for symbol, (word, category) in words.items()
+            ],
+            "declarants": {"calculus": "predicate", "parameters": [["y", "H"]]},
+            "string": string,
+            "force": {"mood": "declarative", "emphasis": emphasis},
+        }
+    )
+
+
+WILSON = {"W": ("Wilson", "N"), "H": ("human", "N")}
+
+
+@pytest.mark.parametrize(
+    "string,emphasis,words,lf",
+    [
+        ("W in R", "W", {**WILSON, "R": ("ran", "V")}, "Wilson_1 x_1 ran"),
+        ("W S J", "J", {**WILSON, "J": ("Jones", "N"), "S": ("saw", "V")}, "Jones_1 Wilson saw x_1"),
+        (
+            "forall y. (y in H -> W S y)",
+            "W",
+            {**WILSON, "S": ("saw", "V"), "y": ("everyone", "Q")},
+            "[ Everyone_3 [ Wilson_2 x_2 saw x_3 ] ]",
+        ),
+    ],
+    ids=["intransitive", "transitive", "with-quantifier"],
+)
+def test_fronted_name_is_topicalization(string, emphasis, words, lf):
+    r = compare(_name_frep(string, emphasis, words))
+    assert render(r.t.steps[2].sstring) == lf
+    assert r.warnings == ()
+    assert r.agreed and render_formula(r.recovered) == string
 
 
 def test_compare_scoped_reading():

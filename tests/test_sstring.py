@@ -16,8 +16,6 @@ from pmodel.sstring import (
     equivalent_mod_indices,
     parse_sstring,
     render,
-    sstring_from_json,
-    sstring_to_json,
     strip,
     to_dot,
 )
@@ -141,11 +139,6 @@ def sstrings(draw):
 @given(sstrings())
 def test_render_parse_roundtrip(s):
     assert parse_sstring(render(s), s.level) == s
-
-
-@given(sstrings())
-def test_json_roundtrip(s):
-    assert sstring_from_json(sstring_to_json(s)) == s
 
 
 @given(sstrings())
