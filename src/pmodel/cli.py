@@ -23,7 +23,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
 from importlib import resources
 from typing import Optional, TextIO
 
@@ -109,17 +108,14 @@ def _print_derivation(d: pipeline.Derivation, fmt: str, out: TextIO) -> None:
     out.write(sstring.strip(d.steps[-1].sstring) + "\n")
 
 
-def _emphasis_symbol(f: frep.FRepresentation, word: str) -> str:
-    for r in f.lexical:
-        if r.word.casefold() == word.casefold():
-            return r.symbol
-    raise pipeline.DerivationError(f"no lexical referent for emphasis word {word!r}")
-
-
 def _cmd_derive_p(args, out: TextIO) -> int:
     f = frep.load_frep(args.path)
     if args.emphasis:
-        f = replace(f, force=frep.Force(f.force.mood, _emphasis_symbol(f, args.emphasis)))
+        symbol = f.symbol_of(args.emphasis)
+        if symbol is None:
+            raise pipeline.DerivationError(f"no lexical referent for emphasis word {args.emphasis!r}")
+        force = frep.Force(f.force.mood, symbol)
+        f = frep.build_frep(f.external, f.lexical, f.declarants, f.string, force)
     reading = None
     if args.reading is not None:
         readings = frep.resolve_scope(f)

@@ -23,6 +23,7 @@ from .formal import (
     Exists,
     Forall,
     Formula,
+    Membership,
     _symbols,
     parse_formula,
     preorder,
@@ -117,6 +118,13 @@ class EmphasisWithoutReferent:
 
 
 @dataclass(frozen=True)
+class EmphasisNotATerm:
+    """The emphasis names neither a constant nor a bound variable of the string."""
+
+    symbol: str
+
+
+@dataclass(frozen=True)
 class ScopeOrderUnknownVariable:
     variable: str
 
@@ -150,7 +158,7 @@ class FRepresentation:
         return next((r.word for r in self.lexical if r.symbol == symbol), None)
 
     def symbol_of(self, word: str) -> Optional[str]:
-        return next((r.symbol for r in self.lexical if r.word == word), None)
+        return next((r.symbol for r in self.lexical if r.word.casefold() == word.casefold()), None)
 
     def referent(self, symbol: str) -> Optional[LexicalReferent]:
         return next((r for r in self.lexical if r.symbol == symbol), None)
@@ -187,10 +195,20 @@ def build_frep(external, lexical, declarants, string, force) -> FRepresentation:
     if not wf.ok:
         diagnostics.append(IllFormedString(wf.diagnostics))
 
-    if force.emphasis is not None and force.emphasis not in seen_symbols:
-        diagnostics.append(EmphasisWithoutReferent(force.emphasis))
-
     bound = set(quantified_variables(string))
+    if force.emphasis is not None:
+        terms = {
+            t.name
+            for g, _ in preorder(string)
+            if isinstance(g, Membership)
+            for t in (g.subject, g.obj)
+            if t is not None and t.kind == "constant"
+        }
+        if force.emphasis not in seen_symbols:
+            diagnostics.append(EmphasisWithoutReferent(force.emphasis))
+        elif force.emphasis not in terms | bound:
+            diagnostics.append(EmphasisNotATerm(force.emphasis))
+
     if declarants.scope_order is not None:
         order = declarants.scope_order
         if len(set(order)) != len(order):

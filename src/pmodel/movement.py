@@ -7,7 +7,10 @@ ops move the fronted item back into its trace slot, mark the vacated front
 with a y-trace and flatten all brackets. apply_emphasis realizes deep
 structure as surface structure: interrogative mood fronts the Wh item,
 emphasis topicalizes its target, and with neither the vacuous y-traces are
-erased.
+erased. Each of these moves is one step (_move): the word lands with the
+chain's index and leaves a trace of the level's kind. Raising also accepts
+a partly raised LF, and lowering a partly lowered DS, so a clause's movers
+move one at a time.
 
 Index bookkeeping: new chains take max(used) + 1 starting at 1, which is
 what the rendered subscripts in derivations look like.
@@ -27,10 +30,15 @@ class MovementError(PmodelError):
 
 
 class LevelMismatch(MovementError):
-    def __init__(self, expected: str, got: str):
-        super().__init__(f"operation needs a {expected} string, got {got}")
+    def __init__(self, expected: tuple[str, ...], got: str):
+        super().__init__(f"operation needs a {' or '.join(expected)} string, got {got}")
         self.expected = expected
         self.got = got
+
+
+def _check_level(s: SString, *expected: str) -> None:
+    if s.level not in expected:
+        raise LevelMismatch(expected, s.level)
 
 
 class NotAQuantifier(MovementError):
@@ -105,23 +113,44 @@ def _audible_positions(items) -> list[int]:
     return [pos for pos, it in enumerate(items) if isinstance(it, (Word, Indexed))]
 
 
-def _capitalize(text: str) -> str:
-    return text[:1].upper() + text[1:]
-
-
-def _lowercase(text: str) -> str:
-    return text[:1].lower() + text[1:]
+def _matching(items, words) -> list[int]:
+    """Positions of the audible items whose lowercased text is in words."""
+    return [
+        pos
+        for pos, it in enumerate(items)
+        if isinstance(it, (Word, Indexed)) and it.text.lower() in words
+    ]
 
 
 def _adjust_case(items: list, pos: int) -> None:
     """Sentence-position case: surface-initial items capitalize, others don't."""
-    audible = _audible_positions(items)
     item = items[pos]
-    text = _capitalize(item.text) if audible and pos == audible[0] else _lowercase(item.text)
-    if isinstance(item, Indexed):
-        items[pos] = Indexed(text, item.index)
-    else:
-        items[pos] = Word(text)
+    initial = item.text[:1].upper() if pos == _audible_positions(items)[0] else item.text[:1].lower()
+    text = initial + item.text[1:]
+    items[pos] = Indexed(text, item.index) if isinstance(item, Indexed) else Word(text)
+
+
+def _move(items: list, source: int, target: int, trace_kind: str, index: int) -> None:
+    """Land items[source]'s word at target as Indexed(text, index) and leave
+    Trace(trace_kind, index) at source, in place."""
+    items[target] = Indexed(items[source].text, index)
+    items[source] = Trace(trace_kind, index)
+    _adjust_case(items, target)
+
+
+def _trace_position(items, index: int, kind: str) -> int:
+    for pos, it in enumerate(items):
+        if isinstance(it, Trace) and it.index == index and it.kind == kind:
+            return pos
+    raise BrokenCoindexation(f"index {index} has no {kind}-trace")
+
+
+def _wh_positions(items, config: GrammarConfig) -> list[int]:
+    """Positions of the Wh items; the fragment allows at most one."""
+    wh = _matching(items, config.wh_words)
+    if len(wh) > 1:
+        raise MultipleWhItems("more than one Wh item")
+    return wh
 
 
 def quantifier_raise(
@@ -129,28 +158,20 @@ def quantifier_raise(
 ) -> tuple[SString, MovementRecord]:
     """SS -> LF: front the quantifier word at qpos, leaving an x-trace.
 
-    When the quantifier crosses audible material the landing is decorated as
-    [ q [ ... ] ]; a quantifier that is already first stays undecorated.
+    A logical form is accepted too, so the quantifiers of one clause raise
+    one at a time. When the quantifier crosses audible material the landing
+    is decorated as [ q [ ... ] ]; a quantifier that is already first stays
+    undecorated.
     """
-    if s.level != "SS":
-        raise LevelMismatch("SS", s.level)
-    if not 0 <= qpos < len(s.items) or not isinstance(s.items[qpos], Word):
-        raise NotAQuantifier(qpos)
-    word = s.items[qpos]
-    if word.text.lower() not in config.quantifier_words:
+    _check_level(s, "SS", "LF")
+    if qpos not in _matching(s.items, config.quantifier_words) or not isinstance(s.items[qpos], Word):
         raise NotAQuantifier(qpos)
 
     index = _next_index(s.items)
-    rest = list(s.items)
-    rest[qpos] = Trace("x", index)
-    mover = Indexed(word.text, index)
-    crossed = any(p < qpos for p in _audible_positions(s.items))
-    items: list
-    if crossed:
-        items = [OpenBracket(), mover, OpenBracket(), *rest, CloseBracket(), CloseBracket()]
-    else:
-        items = [mover] + rest
-    _adjust_case(items, items.index(mover))
+    items = [None, *s.items]  # an empty landing slot
+    _move(items, qpos + 1, 0, "x", index)
+    if any(p < qpos for p in _audible_positions(s.items)):
+        items = [OpenBracket(), items[0], OpenBracket(), *items[1:], CloseBracket(), CloseBracket()]
     result = SString("LF", tuple(items), s.punctuation)
     ipos, tpos = result.coindex[index]
     return result, MovementRecord("quantifier_raise", index, source=tpos, target=ipos)
@@ -158,19 +179,10 @@ def quantifier_raise(
 
 def wh_raise(s: SString, config: GrammarConfig = DEFAULT_CONFIG) -> SString:
     """SS -> LF: covert movement; t-traces become x-traces, order unchanged."""
-    if s.level != "SS":
-        raise LevelMismatch("SS", s.level)
-    wh = [
-        pos
-        for pos, it in enumerate(s.items)
-        if isinstance(it, (Word, Indexed)) and it.text.lower() in config.wh_words
-    ]
-    if not wh:
+    _check_level(s, "SS")
+    if not _wh_positions(s.items, config):
         raise NoWhItem("no Wh item to interpret")
-    if len(wh) > 1:
-        raise MultipleWhItems("more than one Wh item")
-    t_traces = [it for it in s.items if isinstance(it, Trace) and it.kind == "t"]
-    if len(t_traces) > 1:
+    if sum(isinstance(it, Trace) and it.kind == "t" for it in s.items) > 1:
         raise BrokenCoindexation("more than one t-trace")
     return to_lf(s)
 
@@ -189,8 +201,7 @@ def _lower(
     operation: str,
     missing_error: type,
 ) -> tuple[SString, MovementRecord]:
-    if s.level != "LF":
-        raise LevelMismatch("LF", s.level)
+    _check_level(s, "LF", "DS")
     flat = [it for it in s.items if not isinstance(it, (OpenBracket, CloseBracket))]
     audible = _audible_positions(flat)
     if not audible:
@@ -199,34 +210,25 @@ def _lower(
     fronted = flat[qpos]
     if not isinstance(fronted, Indexed) or fronted.text.lower() not in words:
         raise missing_error(f"first audible item {fronted!r} is not lowerable")
-    index = fronted.index
-    tpos = next(
-        (
-            pos
-            for pos, it in enumerate(flat)
-            if isinstance(it, Trace) and it.index == index and it.kind == "x"
-        ),
-        -1,
-    )
-    if tpos < 0:
-        raise BrokenCoindexation(f"index {index} has no x-trace")
-    flat[tpos] = Indexed(fronted.text, index)
-    flat[qpos] = Trace("y", index)
-    _adjust_case(flat, tpos)
+    tpos = _trace_position(flat, fronted.index, "x")
+    _move(flat, qpos, tpos, "y", fronted.index)
     result = SString("DS", tuple(flat), s.punctuation)
-    return result, MovementRecord(operation, index, source=qpos, target=tpos)
+    return result, MovementRecord(operation, fronted.index, source=qpos, target=tpos)
 
 
 def quantifier_lower(
     s: SString, config: GrammarConfig = DEFAULT_CONFIG
 ) -> tuple[SString, MovementRecord]:
     """LF -> DS: the fronted quantifier returns to its x-trace slot; a y-trace
-    marks the vacated front and the bracket decoration is dropped."""
+    marks the vacated front and the bracket decoration is dropped. A partly
+    lowered deep structure is accepted too, so a clause's fronted items
+    lower one at a time."""
     return _lower(s, config.quantifier_words, "quantifier_lower", NoFrontedQuantifier)
 
 
 def wh_lower(s: SString, config: GrammarConfig = DEFAULT_CONFIG) -> tuple[SString, MovementRecord]:
-    """LF -> DS: like quantifier_lower but for the fronted Wh item."""
+    """LF (or partly lowered DS) -> DS: like quantifier_lower but for the
+    fronted Wh item."""
     return _lower(s, config.wh_words, "wh_lower", NoWhItem)
 
 
@@ -258,37 +260,22 @@ def apply_emphasis(
     are erased and the plain order surfaces. The word must come out exactly
     once for every word bound in the binding constraints.
     """
-    if s.level != "DS":
-        raise LevelMismatch("DS", s.level)
+    _check_level(s, "DS")
     mood = getattr(force, "mood", "declarative")
     emphasis = getattr(force, "emphasis", None)
     items = [it for it in s.items if not isinstance(it, (OpenBracket, CloseBracket))]
 
     moved_index: Optional[int] = None
     operation = None
-    wh_positions = [
-        pos
-        for pos, it in enumerate(items)
-        if isinstance(it, (Word, Indexed)) and it.text.lower() in config.wh_words
-    ]
-    if mood == "interrogative" and wh_positions:
-        if len(wh_positions) > 1:
-            raise MultipleWhItems("more than one Wh item")
+    wh_positions = _wh_positions(items, config) if mood == "interrogative" else []
+    if wh_positions:
         moved_index = _front(items, wh_positions[0])
         operation = "wh_fronting"
     elif emphasis is not None:
-        wanted = emphasis.lower()
-        target = next(
-            (
-                pos
-                for pos, it in enumerate(items)
-                if isinstance(it, (Word, Indexed)) and it.text.lower() == wanted
-            ),
-            None,
-        )
-        if target is None:
+        target = _matching(items, {emphasis.lower()})
+        if not target:
             raise EmphasisTargetMissing(emphasis)
-        moved_index = _front(items, target)
+        moved_index = _front(items, target[0])
         operation = "emphasis_fronting"
 
     _erase_vacuous(items)
@@ -301,10 +288,7 @@ def apply_emphasis(
 
     result = SString("SS", tuple(items), s.punctuation)
     for word, _ in binding:
-        count = sum(
-            1 for it in result.items if isinstance(it, (Word, Indexed)) and it.text.lower() == word.lower()
-        )
-        if count != 1:
+        if len(_matching(result.items, {word.lower()})) != 1:
             raise BindingViolation(word)
     record = None
     if moved_index is not None:
@@ -318,25 +302,11 @@ def _front(items: list, pos: int) -> int:
     a t-trace behind. Returns the chain index."""
     item = items[pos]
     if isinstance(item, Indexed):
-        index = item.index
-        ypos = next(
-            (
-                p
-                for p, it in enumerate(items)
-                if isinstance(it, Trace) and it.index == index and it.kind == "y"
-            ),
-            None,
-        )
-        if ypos is None:
-            raise BrokenCoindexation(f"index {index} has no y-trace to land in")
-        items[ypos] = Indexed(item.text, index)
-        items[pos] = Trace("t", index)
-        _adjust_case(items, ypos)
-        return index
+        _move(items, pos, _trace_position(items, item.index, "y"), "t", item.index)
+        return item.index
     index = _next_index(items)
-    items[pos] = Trace("t", index)
-    items.insert(0, Indexed(item.text, index))
-    _adjust_case(items, 0)
+    items.insert(0, None)  # an empty landing slot
+    _move(items, pos + 1, 0, "t", index)
     return index
 
 

@@ -6,7 +6,9 @@ F-representation and lowered to deep structure, so surface structure is the
 last step and no logical-form level exists downstream. compare() runs both
 from the same F-representation and checks that the T pipeline's recovered
 logical form matches the canonicalized formal string and that both sides
-report identical DS -> SS movement.
+report identical DS -> SS movement. The second check holds by construction:
+the T pipeline starts from the P pipeline's DS, and both realize SS with the
+same apply_emphasis.
 
 Lexicalization is deterministic: quantifier prefixes become fronted indexed
 words, the matrix becomes subject-verb-object order, sort guards vanish into
@@ -41,6 +43,7 @@ from .frep import Force, FRepresentation, binding_referents, resolve_scope
 from .movement import (
     DEFAULT_CONFIG,
     GrammarConfig,
+    MovementError,
     MovementRecord,
     apply_emphasis,
     quantifier_lower,
@@ -91,12 +94,12 @@ class Derivation:
             raise ValueError(f"bad level sequence for {self.model}: {levels}")
 
 
-def config_for(f: FRepresentation, base: GrammarConfig = DEFAULT_CONFIG) -> GrammarConfig:
-    """Extend a grammar config with the frep's own quantifier and Wh words."""
+def config_for(f: FRepresentation) -> GrammarConfig:
+    """Extend the default grammar config with the frep's own quantifier and Wh words."""
     return GrammarConfig(
-        quantifier_words=base.quantifier_words
+        quantifier_words=DEFAULT_CONFIG.quantifier_words
         | {r.word.lower() for r in f.lexical if r.category == "Q"},
-        wh_words=base.wh_words | {r.word.lower() for r in f.lexical if r.category == "WH"},
+        wh_words=DEFAULT_CONFIG.wh_words | {r.word.lower() for r in f.lexical if r.category == "WH"},
     )
 
 
@@ -129,7 +132,8 @@ def _word_for(f: FRepresentation, symbol: str) -> str:
 
 
 def _lexicalize(f: FRepresentation, reading: Formula) -> SString:
-    """Spell the reading out as a flat logical-form string."""
+    """Spell the reading out as a flat logical-form string. With nothing
+    fronted, logical form and deep structure coincide: the string is DS."""
     prefix, matrix = split_prefix(reading, BINDERS)
     sorts = dict(f.declarants.parameters)
     matrix = _strip_guard(matrix, prefix, sorts)
@@ -167,43 +171,7 @@ def _lexicalize(f: FRepresentation, reading: Formula) -> SString:
 
     items = fronted + body
     punctuation = "question" if f.force.mood == "interrogative" else None
-    return SString("LF", tuple(items), punctuation)
-
-
-def _relabel(s: SString, level: str) -> SString:
-    return SString(level, s.items, s.punctuation)
-
-
-def _lower_all(lf: SString, config: GrammarConfig) -> tuple[SString, list[MovementRecord]]:
-    s, records = lf, []
-    while True:
-        audible = [it for it in s.items if isinstance(it, (Word, Indexed))]
-        if not audible or not isinstance(audible[0], Indexed):
-            break
-        head = audible[0]
-        _, tpos = s.coindex[head.index]
-        if s.items[tpos].kind != "x":
-            break
-        text = head.text.lower()
-        if text in config.wh_words:
-            s, record = wh_lower(_relabel(s, "LF"), config)
-        elif text in config.quantifier_words:
-            s, record = quantifier_lower(_relabel(s, "LF"), config)
-        else:
-            break
-        records.append(record)
-    return _relabel(s, "DS"), records
-
-
-def generate_ds(
-    f: FRepresentation, reading: Formula, config: Optional[GrammarConfig] = None
-) -> SString:
-    """Deterministic lexicalization of one scope reading down to deep structure."""
-    cfg = config_for(f, config or DEFAULT_CONFIG)
-    if reading not in resolve_scope(f):
-        raise ReadingNotAvailable(render_formula(reading))
-    ds, _ = _lower_all(_lexicalize(f, reading), cfg)
-    return ds
+    return SString("LF" if fronted else "DS", tuple(items), punctuation)
 
 
 def _resolved_force(f: FRepresentation) -> Force:
@@ -213,14 +181,10 @@ def _resolved_force(f: FRepresentation) -> Force:
     return Force(f.force.mood, f.word_of(f.force.emphasis))
 
 
-def derive_p(
-    f: FRepresentation,
-    reading: Optional[Formula] = None,
-    config: Optional[GrammarConfig] = None,
-) -> Derivation:
+def derive_p(f: FRepresentation, reading: Optional[Formula] = None) -> Derivation:
     """F-representation -> DS -> SS. Ambiguity is resolved to the first
     reading and flagged in warnings."""
-    cfg = config_for(f, config or DEFAULT_CONFIG)
+    cfg = config_for(f)
     readings = resolve_scope(f)
     warnings: tuple[str, ...] = ()
     if reading is None:
@@ -229,8 +193,12 @@ def derive_p(
             warnings = (f"scope-ambiguous: derived reading 1 of {len(readings)}",)
     elif reading not in readings:
         raise ReadingNotAvailable(render_formula(reading))
-    lf = _lexicalize(f, reading)
-    ds, lower_records = _lower_all(lf, cfg)
+    # every fronted item of the spell-out lowers, outermost first
+    ds, lower_records = _lexicalize(f, reading), []
+    for head in [it for it in ds.items if isinstance(it, Indexed)]:
+        lower = wh_lower if head.text.lower() in cfg.wh_words else quantifier_lower
+        ds, record = lower(ds, cfg)
+        lower_records.append(record)
     ss, emphasis_record = apply_emphasis(ds, _resolved_force(f), binding_referents(f), cfg)
     steps = (
         DerivationStep(ds, tuple(lower_records)),
@@ -253,34 +221,25 @@ def derive_t(
     ss, emphasis_record = apply_emphasis(ds, force, frozenset(), config)
     s = ss
     records: list[MovementRecord] = []
-    audible = [it for it in s.items if isinstance(it, (Word, Indexed))]
-    has_wh = any(it.text.lower() in config.wh_words for it in audible)
-    if has_wh:
-        lf = wh_raise(s, config)
+    if any(isinstance(it, (Word, Indexed)) and it.text.lower() in config.wh_words for it in ss.items):
+        lf = wh_raise(ss, config)
     else:
-        plain = [
-            it.text for it in audible if isinstance(it, Word) and it.text.lower() in config.quantifier_words
-        ]
-        order = list(raise_order) if raise_order is not None else plain
-        for word in reversed(order):
+        if raise_order is None:
+            raise_order = tuple(
+                it.text for it in ss.items if isinstance(it, Word) and it.text.lower() in config.quantifier_words
+            )
+        for word in reversed(raise_order):
+            wanted = word.lower()
             pos = next(
-                (
-                    p
-                    for p, it in enumerate(s.items)
-                    if isinstance(it, Word) and it.text.lower() == word.lower()
-                ),
+                (p for p, it in enumerate(s.items) if isinstance(it, Word) and it.text.lower() == wanted),
                 None,
             )
-            if pos is None:
-                if any(
-                    isinstance(it, Indexed) and it.text.lower() == word.lower()
-                    for it in s.items
-                ):
-                    continue  # already fronted by emphasis: a chain exists
+            if pos is not None:
+                s, record = quantifier_raise(s, pos, config)
+                records.append(record)
+            # a word that emphasis fronted already has its chain
+            elif not any(isinstance(it, Indexed) and it.text.lower() == wanted for it in s.items):
                 raise DerivationError(f"no in-situ quantifier word {word!r} to raise")
-            raised, record = quantifier_raise(_relabel(s, "SS"), pos, config)
-            records.append(record)
-            s = raised
         lf = to_lf(s)
     steps = (
         DerivationStep(ds),
@@ -370,6 +329,13 @@ def delexicalize(lf: SString, f: FRepresentation) -> Formula:
 
 @dataclass(frozen=True)
 class CompareReport:
+    """Both derivations of one F-representation and whether they agree.
+
+    lf_match: the T route's recovered logical form is the canonical reading.
+    movement_match: both routes record the same DS -> SS movement. It cannot
+    fail, as both realize SS with the same apply_emphasis on the same DS.
+    """
+
     frep: FRepresentation
     readings: tuple[Formula, ...]
     p: Optional[Derivation] = None
@@ -387,19 +353,26 @@ class CompareReport:
         return bool(self.lf_match) and bool(self.movement_match)
 
 
-def compare(f: FRepresentation, config: Optional[GrammarConfig] = None) -> CompareReport:
+def compare(f: FRepresentation) -> CompareReport:
     """Run both pipelines from one F-representation and report agreement.
 
     Unlexicalizable strings (probability assertions) come back formal_only;
-    all other per-stage failures land in warnings rather than raising.
+    all other per-stage failures land in warnings rather than raising, and
+    the report then does not agree.
     """
-    cfg = config_for(f, config or DEFAULT_CONFIG)
+    cfg = config_for(f)
     readings = resolve_scope(f)
     warnings: tuple[str, ...] = ()
     if len(readings) > 1:
         warnings += (f"scope-ambiguous: comparing reading 1 of {len(readings)}",)
     try:
-        p = derive_p(f, readings[0], cfg)
+        p = derive_p(f, readings[0])
+        raise_order = tuple(
+            f.word_of(q.variable)
+            for q in split_prefix(readings[0], BINDERS)[0]
+            if not isinstance(q, WhQuery)
+        )
+        t = derive_t(p.steps[0].sstring, _resolved_force(f), cfg, raise_order)
     except UnlexicalizableNode as e:
         return CompareReport(
             frep=f,
@@ -407,13 +380,8 @@ def compare(f: FRepresentation, config: Optional[GrammarConfig] = None) -> Compa
             formal_only=True,
             warnings=warnings + (str(e),),
         )
-    ds = p.steps[0].sstring
-    raise_order = tuple(
-        f.word_of(q.variable) or q.variable
-        for q in split_prefix(readings[0], BINDERS)[0]
-        if not isinstance(q, WhQuery)
-    )
-    t = derive_t(ds, _resolved_force(f), cfg, raise_order=raise_order or None)
+    except (MovementError, DerivationError) as e:
+        return CompareReport(frep=f, readings=readings, warnings=warnings + (str(e),))
 
     recovered: Optional[Formula] = None
     canonical: Optional[Formula] = None

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Union
 
 from .errors import PmodelError
@@ -85,6 +84,11 @@ Item = Union[Word, Indexed, Trace, OpenBracket, CloseBracket]
 
 @dataclass(frozen=True)
 class SString:
+    """A string at one level. Validation also records each chain's positions
+    in `coindex` (index -> (Indexed position, Trace position), by index); it
+    sits outside the fields, so ==, hash and repr ignore it, and callers
+    must not change it."""
+
     level: str
     items: tuple[Item, ...]
     punctuation: Optional[str] = None  # None | "question"
@@ -96,9 +100,10 @@ class SString:
             raise InvalidSString(f"bad punctuation: {self.punctuation!r}")
         object.__setattr__(self, "items", tuple(self.items))
         depth = 0
+        chained = 0
         indexed: dict[int, int] = {}
         traces: dict[int, int] = {}
-        for item in self.items:
+        for pos, item in enumerate(self.items):
             if isinstance(item, OpenBracket):
                 depth += 1
             elif isinstance(item, CloseBracket):
@@ -106,54 +111,44 @@ class SString:
                 if depth < 0:
                     raise InvalidSString("unbalanced brackets")
             elif isinstance(item, Indexed):
-                indexed[item.index] = indexed.get(item.index, 0) + 1
+                indexed[item.index] = pos
+                chained += 1
             elif isinstance(item, Trace):
-                traces[item.index] = traces.get(item.index, 0) + 1
+                traces[item.index] = pos
+                chained += 1
             elif not isinstance(item, Word):
                 raise InvalidSString(f"not an item: {item!r}")
         if depth != 0:
             raise InvalidSString("unbalanced brackets")
-        if indexed.keys() != traces.keys() or any(
-            indexed[i] != 1 or traces[i] != 1 for i in indexed
-        ):
+        if indexed.keys() != traces.keys() or chained != 2 * len(indexed):
             raise InvalidSString("coindexation must pair each index exactly once")
+        object.__setattr__(
+            self, "coindex", {i: (indexed[i], traces[i]) for i in sorted(indexed)}
+        )
 
-    @cached_property
-    def coindex(self) -> dict[int, tuple[int, int]]:
-        """index -> (position of the Indexed item, position of its Trace).
 
-        Computed on first read and kept, as the string is frozen; every
-        read returns the same dict, so callers must not change it. The
-        cache sits outside the fields, so ==, hash and repr ignore it.
-        """
-        indexed: dict[int, int] = {}
-        traces: dict[int, int] = {}
-        for pos, item in enumerate(self.items):
-            if isinstance(item, Indexed):
-                indexed[item.index] = pos
-            elif isinstance(item, Trace):
-                traces[item.index] = pos
-        return {i: (indexed[i], traces[i]) for i in sorted(indexed)}
+def _token(item: Item) -> str:
+    if isinstance(item, Word):
+        return item.text
+    if isinstance(item, Indexed):
+        return f"{item.text}_{item.index}"
+    if isinstance(item, Trace):
+        return f"{item.kind}_{item.index}"
+    if isinstance(item, OpenBracket):
+        return "[" + (item.label or "")
+    return "]"
 
 
 def render(s: SString) -> str:
     tokens: list[str] = []
     labeled: list[bool] = []
     for item in s.items:
-        if isinstance(item, Word):
-            tokens.append(item.text)
-        elif isinstance(item, Indexed):
-            tokens.append(f"{item.text}_{item.index}")
-        elif isinstance(item, Trace):
-            tokens.append(f"{item.kind}_{item.index}")
-        elif isinstance(item, OpenBracket):
-            tokens.append("[" + (item.label or ""))
+        if isinstance(item, OpenBracket):
             labeled.append(item.label is not None)
-        else:
-            if labeled.pop():
-                tokens[-1] += "]"
-            else:
-                tokens.append("]")
+        elif isinstance(item, CloseBracket) and labeled.pop():
+            tokens[-1] += "]"
+            continue
+        tokens.append(_token(item))
     if s.punctuation == "question":
         tokens.append("?")
     return " ".join(tokens)
@@ -238,19 +233,9 @@ def to_dot(s: SString) -> str:
     lines = ["digraph sstring {", "  rankdir=LR;", "  node [shape=box];"]
     names: list[str] = []
     for pos, item in enumerate(s.items):
-        if isinstance(item, Word):
-            label = item.text
-        elif isinstance(item, Indexed):
-            label = f"{item.text}_{item.index}"
-        elif isinstance(item, Trace):
-            label = f"{item.kind}_{item.index}"
-        elif isinstance(item, OpenBracket):
-            label = "[" + (item.label or "")
-        else:
-            label = "]"
         name = f"n{pos}"
         names.append(name)
-        lines.append(f'  {name} [label="{label}"];')
+        lines.append(f'  {name} [label="{_token(item)}"];')
     for a, b in zip(names, names[1:]):
         lines.append(f"  {a} -> {b};")
     for index, (ipos, tpos) in s.coindex.items():

@@ -118,7 +118,10 @@ def test_derive_reading_selection():
 def test_derive_emphasis_flag():
     code, out, _ = run_cli("derive", "p", str(CORPUS_DIR / "jones-saw-everyone.frep"), "--emphasis", "everyone")
     assert code == 0 and out.rstrip().endswith("Everyone Jones saw")
-    assert run_cli("derive", "p", str(CORPUS_DIR / "jones-saw-everyone.frep"), "--emphasis", "nobody")[0] == 1
+    for word in ("nobody", "saw"):
+        code, out, err = run_cli("derive", "p", str(CORPUS_DIR / "jones-saw-everyone.frep"), "--emphasis", word)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_recognize_failure_marks_slot():

@@ -114,6 +114,19 @@ def test_emphasis_must_name_a_symbol():
     assert any("EmphasisWithoutReferent" in repr(d) for d in exc.value.diagnostics)
 
 
+@pytest.mark.parametrize("symbol", ["S", "H", "y"], ids=["relation", "sort", "unused-variable"])
+def test_emphasis_must_name_a_term_of_the_string(symbol):
+    with pytest.raises(FRepValidationError) as exc:
+        make_frep(string="forall x. (x in H -> x S x)", force=Force("declarative", emphasis=symbol))
+    assert f"EmphasisNotATerm(symbol='{symbol}')" in map(repr, exc.value.diagnostics)
+
+
+def test_symbol_of_ignores_case():
+    f = make_frep()
+    assert f.symbol_of("Everyone") == f.symbol_of("everyone") == "x"
+    assert f.symbol_of("nobody") is None
+
+
 def test_scope_order_and_locality_must_name_known_variables():
     with pytest.raises(FRepValidationError) as exc:
         make_frep(scope_order=("y", "z"))

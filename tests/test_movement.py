@@ -25,12 +25,14 @@ from genstrings import (
 from pmodel.frep import Force
 from pmodel.movement import (
     DEFAULT_CONFIG,
+    BindingViolation,
     BrokenCoindexation,
     EmphasisTargetMissing,
     LevelMismatch,
     MovementRecord,
     MultipleWhItems,
     NoFrontedQuantifier,
+    NoWhItem,
     NotAQuantifier,
     apply_emphasis,
     quantifier_lower,
@@ -139,6 +141,27 @@ def test_level_gates():
         wh_raise(parse_sstring("Jones saw everyone", "LF"))
 
 
+def test_raise_accepts_a_partly_raised_logical_form():
+    lf = parse_sstring("Everyone_1 x_1 saw someone", "LF")
+    raised, record = quantifier_raise(lf, 3)
+    assert render(raised) == "[ Someone_2 [ Everyone_1 x_1 saw x_2 ] ]"
+    assert record == MovementRecord("quantifier_raise", 2, source=6, target=1)
+
+
+def test_lower_accepts_a_partly_lowered_deep_structure():
+    ds = parse_sstring("y_1 Someone_2 everyone_1 saw x_2", "DS")
+    lowered, record = quantifier_lower(ds)
+    assert render(lowered) == "y_1 y_2 everyone_1 saw someone_2"
+    assert record == MovementRecord("quantifier_lower", 2, source=1, target=4)
+
+
+def test_level_mismatch_names_every_accepted_level():
+    with pytest.raises(LevelMismatch, match="SS or LF string, got DS"):
+        quantifier_raise(parse_sstring("Jones saw everyone", "DS"), 2)
+    with pytest.raises(LevelMismatch, match="LF or DS string, got SS"):
+        wh_lower(parse_sstring("Who_1 x_1 left", "SS"))
+
+
 def test_raise_rejects_non_quantifier():
     ss = parse_sstring("Jones saw everyone", "SS")
     with pytest.raises(NotAQuantifier):
@@ -156,6 +179,38 @@ def test_lower_requires_an_x_trace():
     lf = SString("LF", (Indexed("Everyone", 1), Trace("t", 1), Word("slept")))
     with pytest.raises(BrokenCoindexation):
         quantifier_lower(lf)
+
+
+def test_lower_needs_something_audible():
+    with pytest.raises(NoFrontedQuantifier, match="nothing audible"):
+        quantifier_lower(SString("LF", ()))
+
+
+def test_wh_raise_needs_exactly_one_wh_item():
+    with pytest.raises(NoWhItem):
+        wh_raise(parse_sstring("Jones saw everyone", "SS"))
+    with pytest.raises(MultipleWhItems):
+        wh_raise(parse_sstring("who saw what", "SS"))
+
+
+def test_wh_raise_rejects_two_t_traces():
+    ss = parse_sstring("Who_1 Jones_2 saw t_1 t_2", "SS")
+    with pytest.raises(BrokenCoindexation, match="more than one t-trace"):
+        wh_raise(ss)
+
+
+def test_emphasis_on_a_chain_needs_its_y_trace():
+    ds = parse_sstring("everyone_1 Jones saw x_1", "DS")
+    with pytest.raises(BrokenCoindexation):
+        apply_emphasis(ds, Force("declarative", emphasis="everyone"))
+
+
+def test_realization_keeps_each_bound_word_once():
+    ds = parse_sstring("y_1 Jones saw everyone_1", "DS")
+    with pytest.raises(BindingViolation):
+        apply_emphasis(ds, DECL, frozenset({("Smith", 2)}))
+    ss, _ = apply_emphasis(ds, DECL, frozenset({("Jones", 1)}))
+    assert render(ss) == "Jones saw everyone"
 
 
 def test_emphasis_target_missing():

@@ -7,10 +7,11 @@ import pytest
 
 from conftest import CORPUS_DIR
 from pmodel.formal import render_formula
-from pmodel.frep import Force, frep_from_json, load_frep, resolve_scope
+from pmodel.frep import Force, FRepValidationError, frep_from_json, load_frep, resolve_scope
 from pmodel.pipeline import (
     CompareReport,
     Derivation,
+    DerivationError,
     DerivationStep,
     ReadingNotAvailable,
     UnlexicalizableNode,
@@ -20,7 +21,6 @@ from pmodel.pipeline import (
     derivation_to_json,
     derive_p,
     derive_t,
-    generate_ds,
     report_to_json,
 )
 from pmodel.sstring import equivalent_mod_indices, parse_sstring, render, strip
@@ -65,6 +65,11 @@ def test_t_model_reuses_emphasis_chain():
     assert render(ss) == "Everyone_1 Jones saw t_1"
     assert render(lf) == "Everyone_1 Jones saw x_1"
     assert d.steps[2].movements == ()  # the chain already exists; no raise
+
+
+def test_t_model_needs_each_word_it_raises():
+    with pytest.raises(DerivationError, match="no in-situ quantifier word 'someone'"):
+        derive_t(parse_sstring("Jones saw everyone", "DS"), DECL, raise_order=("someone",))
 
 
 def test_t_model_raise_order():
@@ -126,12 +131,6 @@ def test_reading_must_come_from_the_frep():
 def test_probability_strings_cannot_be_spelled_out():
     with pytest.raises(UnlexicalizableNode):
         derive_p(PROB)
-
-
-def test_generate_ds_is_the_first_p_step():
-    for f in (JONES, WHO, SCOPED):
-        reading = resolve_scope(f)[0]
-        assert generate_ds(f, reading) == derive_p(f, reading=reading).steps[0].sstring
 
 
 def test_config_for_knows_the_frep_words():
@@ -215,6 +214,17 @@ def test_fronted_name_is_topicalization(string, emphasis, words, lf):
     assert render(r.t.steps[2].sstring) == lf
     assert r.warnings == ()
     assert r.agreed and render_formula(r.recovered) == string
+
+
+def test_compare_reports_a_movement_failure_as_a_warning():
+    r = compare(_name_frep("W S W", None, {**WILSON, "S": ("saw", "V")}))
+    assert r.warnings == ("binding constraint broken for 'Wilson'",)
+    assert not r.agreed and not r.formal_only
+
+
+def test_emphasis_on_a_name_outside_the_string_is_refused():
+    with pytest.raises(FRepValidationError, match="EmphasisNotATerm"):
+        _name_frep("W in R", "J", {**WILSON, "J": ("Jones", "N"), "R": ("ran", "V")})
 
 
 def test_compare_scoped_reading():
