@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import PmodelError
+from .frozen import Frozen
 
 # Deepest nesting parse_formula accepts. Each quantifier, query, negation and
 # opening parenthesis is one level, except that a parenthesis directly after
@@ -74,6 +75,10 @@ class NotCanonicalizable(PmodelError):
     pass
 
 
+class ModelError(PmodelError):
+    pass
+
+
 def is_variable_name(name: str) -> bool:
     return bool(_VARIABLE_RE.match(name))
 
@@ -83,18 +88,15 @@ def _check_symbol(name: str, role: str) -> None:
         raise ValueError(f"invalid {role} symbol: {name!r}")
 
 
-@dataclass(frozen=True)
-class Term:
-    kind: str  # "constant" | "variable"
-    name: str
+class Term(Frozen):
+    __slots__ = ("kind", "name")  # kind is "constant" or "variable"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind not in ("constant", "variable"):
             raise ValueError(f"bad term kind: {self.kind!r}")
-        if self.kind == "variable":
-            if not is_variable_name(self.name):
-                raise ValueError(f"variable names look like 'x' or 'y2', got {self.name!r}")
-        else:
+        if self.kind == "variable" and not is_variable_name(self.name):
+            raise ValueError(f"variable names look like 'x' or 'y2', got {self.name!r}")
+        if self.kind == "constant":
             _check_symbol(self.name, "constant")
             # keeps parse(render(.)) total: shapes decide variablehood
             if is_variable_name(self.name):
@@ -109,105 +111,119 @@ def const(name: str) -> Term:
     return Term("constant", name)
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Node(Frozen):
+    """A formula node. A node object may occur at several places in one
+    formula or in many. Each keeps its hash and its to_sheffer rewrite once
+    made, so hashing and rewriting never redo a shared subterm. Equality
+    reads kept hashes but makes none, and compares each pair of subterms once."""
+
+    __slots__ = ("_hash", "_sheffer")
+
+    def __hash__(self) -> int:
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((type(self), self._astuple()))
+            _set_hash(self, h)
+        return h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        h = getattr(self, "_hash", None)
+        if h is not None and h != getattr(other, "_hash", h):
+            return False
+        seen = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            pair = (id(a), id(b))
+            if a is not b and pair not in seen:
+                seen.add(pair)
+                for x, y in zip(a._astuple(), b._astuple()):
+                    if isinstance(x, _Node) and type(y) is type(x):
+                        stack.append((x, y))
+                    elif x != y:
+                        return False
+        return True
+
+
+_set_hash = _Node._hash.__set__
+_set_sheffer = _Node._sheffer.__set__
+
+
+class Atom(_Node):
     """A bare propositional letter such as "p"."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _check_symbol(self.name, "atom")
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(_Node):
     """`x in H` when obj is None, else the relational form `J S x`."""
 
-    subject: Term
-    predicate: str
-    obj: Optional[Term] = None
+    __slots__ = ("subject", "predicate", "obj")
+    _defaults = {"obj": None}
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _check_symbol(self.predicate, "relation" if self.obj is not None else "predicate")
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class Not(_Node):
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Or(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Implies(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Sheffer:
-    left: "Formula"
-    right: "Formula"
+class Sheffer(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Pierce:
-    left: "Formula"
-    right: "Formula"
+class Pierce(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Forall:
-    variable: str
-    body: "Formula"
+class _Binder(_Node):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not is_variable_name(self.variable):
             raise ValueError(f"bad quantified variable: {self.variable!r}")
 
 
-@dataclass(frozen=True)
-class Exists:
-    variable: str
-    body: "Formula"
-
-    def __post_init__(self) -> None:
-        if not is_variable_name(self.variable):
-            raise ValueError(f"bad quantified variable: {self.variable!r}")
+class Forall(_Binder):
+    __slots__ = ("variable", "body")
 
 
-@dataclass(frozen=True)
-class WhQuery:
+class Exists(_Binder):
+    __slots__ = ("variable", "body")
+
+
+class WhQuery(_Binder):
     """A question: which values of `variable` satisfying `restrictor` make `body` true."""
 
-    variable: str
-    restrictor: "Formula"
-    body: "Formula"
-
-    def __post_init__(self) -> None:
-        if not is_variable_name(self.variable):
-            raise ValueError(f"bad quantified variable: {self.variable!r}")
+    __slots__ = ("variable", "restrictor", "body")
 
 
-@dataclass(frozen=True)
-class ProbAssertion:
-    event: str
-    p: Fraction
+class ProbAssertion(_Node):
+    __slots__ = ("event", "p")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _check_symbol(self.event, "event")
-        if not isinstance(self.p, Fraction):
-            object.__setattr__(self, "p", Fraction(self.p))
+        object.__setattr__(self, "p", Fraction(self.p))
         if not 0 <= self.p <= 1:
             raise ValueError(f"probability {self.p} outside [0, 1]")
 
@@ -266,6 +282,9 @@ def model_to_json(m: Model) -> dict:
 
 
 def model_from_json(data: Mapping) -> Model:
+    maps = ("predicates", "relations", "event_probs")
+    if not isinstance(data, dict) or not all(isinstance(data.get(k, {}), dict) for k in maps):
+        raise ModelError("model JSON must be an object with object-valued " + ", ".join(maps))
     return Model(
         domain=frozenset(data.get("domain", ())),
         predicates={k: frozenset(v) for k, v in data.get("predicates", {}).items()},
@@ -323,12 +342,8 @@ def _lex(text: str) -> Iterator[_Token]:
             continue
         if c in "().,=/&":
             yield _Token(c, c, i)
-        elif text.startswith("->", i):
-            yield _Token("->", "->", i)
-            i += 2
-            continue
-        elif text.startswith("|/", i):
-            yield _Token("|/", "|/", i)
+        elif text[i : i + 2] in ("->", "|/"):
+            yield _Token(text[i : i + 2], text[i : i + 2], i)
             i += 2
             continue
         elif c == "!":
@@ -338,18 +353,12 @@ def _lex(text: str) -> Iterator[_Token]:
                 i += 2
                 continue
             yield _Token("!", c, i)
-        elif c.isalpha():
-            j = i
-            while j < n and text[j].isalnum():
+        elif c.isalpha() or c.isdigit():
+            kind, more = ("ident", str.isalnum) if c.isalpha() else ("int", str.isdigit)
+            j = i + 1
+            while j < n and more(text[j]):
                 j += 1
-            yield _Token("ident", text[i:j], i)
-            i = j
-            continue
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            yield _Token("int", text[i:j], i)
+            yield _Token(kind, text[i:j], i)
             i = j
             continue
         else:
@@ -629,6 +638,18 @@ def children(f: Formula) -> tuple[Formula, ...]:
     raise UnsupportedNode(t.__name__)
 
 
+def rebuild(f: Formula, kids: Sequence[Formula]) -> Formula:
+    """f over new immediate subformulas, in `children` order; a leaf is f."""
+    t = type(f)
+    if t in _BINARY or t is Not:
+        return t(*kids)
+    if t in BINDERS:
+        return t(f.variable, *kids)
+    if t is Atom or t is Membership or t is ProbAssertion:
+        return f
+    raise UnsupportedNode(t.__name__)
+
+
 def preorder(f: Formula) -> Iterator[tuple[Formula, frozenset[str]]]:
     """Every node of f, each before its children, with the variables bound
     above it (a binder's own variable is bound in its children only). Runs
@@ -729,45 +750,39 @@ def to_sheffer(f: Formula) -> Formula:
     Quantifier structure and atoms pass through untouched; Pierce input is
     rejected (its dual expansion is not part of this rewriting system).
 
-    f is read as a DAG: a subterm object that occurs several times in f is
-    rewritten once and its rewrite is shared in the output, so the work is
-    linear in the distinct nodes of f, not in the size of its tree. The memo
-    is keyed by node identity and lives for one call only; nothing is cached
-    across calls.
+    Each connective and binder node keeps its rewrite, which therefore lives
+    exactly as long as the node. A subterm that occurs several times in f,
+    or in formulas rewritten before, is rewritten once and its rewrite is
+    shared in every output: the work is linear in the distinct nodes of f
+    that were never rewritten, and a second call on f returns the identical
+    object.
     """
-    done: dict[int, Formula] = {}
-
-    def rewrite(g: Formula) -> Formula:
-        t = type(g)
-        if t is Atom or t is Membership or t is ProbAssertion:
-            return g
-        out = done.get(id(g))
-        if out is not None:
-            return out
-        if t is And:
-            once = Sheffer(rewrite(g.left), rewrite(g.right))
-            out = Sheffer(once, once)
-        elif t is Or:
-            a, b = rewrite(g.left), rewrite(g.right)
-            out = Sheffer(Sheffer(a, a), Sheffer(b, b))
-        elif t is Implies:
-            a, b = rewrite(g.left), rewrite(g.right)
-            out = Sheffer(a, Sheffer(b, b))
-        elif t is Not:
-            inner = rewrite(g.body)
-            out = Sheffer(inner, inner)
-        elif t is Sheffer:
-            out = Sheffer(rewrite(g.left), rewrite(g.right))
-        elif t is Forall or t is Exists:
-            out = t(g.variable, rewrite(g.body))
-        elif t is WhQuery:
-            out = WhQuery(g.variable, rewrite(g.restrictor), rewrite(g.body))
-        else:
-            raise UnsupportedNode(t.__name__)
-        done[id(g)] = out
+    t = type(f)
+    if t is Atom or t is Membership or t is ProbAssertion:
+        return f
+    out = getattr(f, "_sheffer", None)
+    if out is not None:
         return out
-
-    return rewrite(f)
+    if t is And:
+        once = Sheffer(to_sheffer(f.left), to_sheffer(f.right))
+        out = Sheffer(once, once)
+    elif t is Or:
+        a, b = to_sheffer(f.left), to_sheffer(f.right)
+        out = Sheffer(Sheffer(a, a), Sheffer(b, b))
+    elif t is Implies:
+        a, b = to_sheffer(f.left), to_sheffer(f.right)
+        out = Sheffer(a, Sheffer(b, b))
+    elif t is Not:
+        inner = to_sheffer(f.body)
+        out = Sheffer(inner, inner)
+    elif t is Sheffer:
+        out = Sheffer(to_sheffer(f.left), to_sheffer(f.right))
+    elif t in BINDERS:
+        out = rebuild(f, [to_sheffer(g) for g in children(f)])
+    else:
+        raise UnsupportedNode(t.__name__)
+    _set_sheffer(f, out)
+    return out
 
 
 # ----------------------------------------------------------- canonical form
@@ -786,10 +801,7 @@ def split_prefix(f: Formula, binders: tuple[type, ...]) -> tuple[list[Formula], 
 def wrap_prefix(prefix: Sequence[Formula], body: Formula) -> Formula:
     """Rebuild the binder nodes of prefix, outermost first, around body."""
     for b in reversed(prefix):
-        if type(b) is WhQuery:
-            body = WhQuery(b.variable, b.restrictor, body)
-        else:
-            body = type(b)(b.variable, body)
+        body = rebuild(b, children(b)[:-1] + (body,))
     return body
 
 
@@ -802,47 +814,34 @@ def canonicalize(f: Formula) -> Formula:
     two binders of the same name. Idempotent, and equivalence-preserving on
     every (nonempty-domain) finite model.
     """
-    match f:
-        case Atom() | Membership() | ProbAssertion():
-            return f
-        case Forall(v, body):
-            return Forall(v, canonicalize(body))
-        case Exists(v, body):
-            return Exists(v, canonicalize(body))
-        case WhQuery(v, restrictor, body):
-            return WhQuery(v, canonicalize(restrictor), canonicalize(body))
-        case Not(body):
-            inner = canonicalize(body)
-            if isinstance(inner, BINDERS):
-                raise NotCanonicalizable("a quantifier cannot move out of a negation")
-            return Not(inner)
-        case Sheffer(left, right) | Pierce(left, right):
-            a, b = canonicalize(left), canonicalize(right)
-            if any(isinstance(g, BINDERS) for g in (a, b)):
-                raise NotCanonicalizable("a quantifier cannot move across a stroke connective")
-            return type(f)(a, b)
-        case And(left, right) | Or(left, right):
-            a, b = canonicalize(left), canonicalize(right)
-            if isinstance(a, WhQuery) or isinstance(b, WhQuery):
-                raise NotCanonicalizable("a query cannot move out of a connective")
-            pa, abody = split_prefix(a, (Forall, Exists))
-            pb, bbody = split_prefix(b, (Forall, Exists))
-            _check_moves(pa, b, "right operand")
-            _check_moves(pb, abody, "left operand")
-            seen = [q.variable for q in pa + pb]
-            if len(seen) != len(set(seen)):
-                raise NotCanonicalizable("same variable bound on both sides")
-            return wrap_prefix(pa + pb, type(f)(abody, bbody))
-        case Implies(left, right):
-            a, b = canonicalize(left), canonicalize(right)
-            if isinstance(a, BINDERS):
-                raise NotCanonicalizable("a quantifier cannot move out of an antecedent")
-            if isinstance(b, WhQuery):
-                raise NotCanonicalizable("a query cannot move out of a connective")
-            pb, bbody = split_prefix(b, (Forall, Exists))
-            _check_moves(pb, a, "antecedent")
-            return wrap_prefix(pb, Implies(a, bbody))
-    raise UnsupportedNode(type(f).__name__)
+    kids = [canonicalize(g) for g in children(f)]
+    t = type(f)
+    if t is And or t is Or:
+        a, b = kids
+        if isinstance(a, WhQuery) or isinstance(b, WhQuery):
+            raise NotCanonicalizable("a query cannot move out of a connective")
+        pa, abody = split_prefix(a, (Forall, Exists))
+        pb, bbody = split_prefix(b, (Forall, Exists))
+        _check_moves(pa, b, "right operand")
+        _check_moves(pb, abody, "left operand")
+        seen = [q.variable for q in pa + pb]
+        if len(seen) != len(set(seen)):
+            raise NotCanonicalizable("same variable bound on both sides")
+        return wrap_prefix(pa + pb, t(abody, bbody))
+    if t is Implies:
+        a, b = kids
+        if isinstance(a, BINDERS):
+            raise NotCanonicalizable("a quantifier cannot move out of an antecedent")
+        if isinstance(b, WhQuery):
+            raise NotCanonicalizable("a query cannot move out of a connective")
+        pb, bbody = split_prefix(b, (Forall, Exists))
+        _check_moves(pb, a, "antecedent")
+        return wrap_prefix(pb, Implies(a, bbody))
+    if t is Not and isinstance(kids[0], BINDERS):
+        raise NotCanonicalizable("a quantifier cannot move out of a negation")
+    if (t is Sheffer or t is Pierce) and any(isinstance(g, BINDERS) for g in kids):
+        raise NotCanonicalizable("a quantifier cannot move across a stroke connective")
+    return rebuild(f, kids)
 
 
 def _check_moves(prefix: list[Formula], other: Formula, where: str) -> None:

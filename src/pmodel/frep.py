@@ -25,6 +25,7 @@ from .formal import (
     Formula,
     Membership,
     _symbols,
+    children,
     parse_formula,
     preorder,
     render_formula,
@@ -125,6 +126,13 @@ class EmphasisNotATerm:
 
 
 @dataclass(frozen=True)
+class VacuousBinder:
+    """A quantifier or query whose variable occurs free nowhere under it."""
+
+    variable: str
+
+
+@dataclass(frozen=True)
 class ScopeOrderUnknownVariable:
     variable: str
 
@@ -169,6 +177,27 @@ def quantified_variables(f: Formula) -> tuple[str, ...]:
     return tuple(g.variable for g, _ in preorder(f) if isinstance(g, BINDERS))
 
 
+def _vacuous_binders(f: Formula) -> list[VacuousBinder]:
+    """A diagnostic for each binder of f whose variable occurs free nowhere
+    under it, innermost first; one bottom-up walk."""
+    found = []
+
+    def free(g: Formula) -> set[str]:
+        names: set[str] = set()
+        for kid in children(g):
+            names |= free(kid)
+        if type(g) is Membership:
+            names.update(t.name for t in (g.subject, g.obj) if t is not None and t.kind == "variable")
+        elif isinstance(g, BINDERS):
+            if g.variable not in names:
+                found.append(VacuousBinder(g.variable))
+            names.discard(g.variable)
+        return names
+
+    free(f)
+    return found
+
+
 def build_frep(external, lexical, declarants, string, force) -> FRepresentation:
     """Validating constructor: returns an FRepresentation or raises
     FRepValidationError carrying every diagnostic found."""
@@ -194,6 +223,7 @@ def build_frep(external, lexical, declarants, string, force) -> FRepresentation:
     wf = well_formed(string, declarants, known_symbols=seen_symbols)
     if not wf.ok:
         diagnostics.append(IllFormedString(wf.diagnostics))
+    diagnostics += _vacuous_binders(string)
 
     bound = set(quantified_variables(string))
     if force.emphasis is not None:
@@ -293,6 +323,8 @@ def frep_to_json(f: FRepresentation) -> dict:
 
 
 def frep_from_json(data: Mapping) -> FRepresentation:
+    if not isinstance(data, dict):
+        raise FRepValidationError([f"frep JSON must be an object, not {type(data).__name__}"])
     version = data.get("frep_version")
     if version != FREP_VERSION:
         raise FRepValidationError([f"unsupported frep_version: {version!r}"])

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import PmodelError
+from .frozen import Frozen
 
 _CAT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _WORD_RE = re.compile(r"[A-Za-z][a-z'-]*")
@@ -82,29 +83,18 @@ class LexRule:
     word: str
 
 
-@dataclass(frozen=True, init=False)
-class ParseTree:
-    # Charts build hundreds of thousands of nodes. Slots set through their
-    # descriptors cost half of a generated frozen __init__; they are written
-    # out rather than asked of the dataclass so that Python 3.10 keeps weak
-    # references to trees.
+class ParseTree(Frozen):
+    # charts build hundreds of thousands of nodes (see frozen.Frozen); the
+    # weak reference slot lets callers keep trees in weak containers
     __slots__ = ("label", "children", "word", "__weakref__")
+    _defaults = {"children": (), "word": None}
     label: str
     children: tuple["ParseTree", ...]
     word: Optional[str]
 
-    def __init__(
-        self, label: str, children: tuple["ParseTree", ...] = (), word: Optional[str] = None
-    ) -> None:
-        if (word is None) == (not children):
+    def _check(self) -> None:
+        if (self.word is None) == (not self.children):
             raise GrammarError("a node is either a leaf with a word or has children")
-        _set_label(self, label)
-        _set_children(self, children)
-        _set_word(self, word)
-
-    def __reduce__(self):
-        # pickle and copy would restore the slots with the frozen __setattr__
-        return ParseTree, (self.label, self.children, self.word)
 
     @property
     def size(self) -> int:
@@ -118,11 +108,6 @@ class ParseTree:
         if self.word is not None:
             return (self.word,)
         return tuple(w for c in self.children for w in c.leaves)
-
-
-_set_label = ParseTree.label.__set__
-_set_children = ParseTree.children.__set__
-_set_word = ParseTree.word.__set__
 
 
 def render_tree(t: ParseTree) -> str:

@@ -167,6 +167,8 @@ def _lexicalize(f: FRepresentation, reading: Formula) -> SString:
         referent = f.referent(q.variable)
         if referent is None or referent.category not in ("Q", "WH"):
             raise UnlexicalizableNode(f"quantifier variable {q.variable!r} without a Q/WH referent")
+        if Trace("x", index_of[q.variable]) not in body:
+            raise UnlexicalizableNode(f"quantifier variable {q.variable!r} without a trace")
         fronted.append(Indexed(referent.word, index_of[q.variable]))
 
     items = fronted + body
@@ -397,7 +399,8 @@ def compare(f: FRepresentation) -> CompareReport:
         warnings += (str(e),)
     if recovered is not None and canonical is not None:
         lf_match = recovered == canonical
-        for r in readings:
+        matched.append(lf_match)  # canonical is the first reading's canonical form
+        for r in readings[1:]:
             try:
                 matched.append(canonicalize(r) == recovered)
             except NotCanonicalizable:

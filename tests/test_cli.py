@@ -46,6 +46,33 @@ def test_malformed_model_json_exits_1(tmp_path):
     assert code == 1 and "invalid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "argv,file,content",
+    [
+        (["frep", "validate"], "top.frep", "[]"),
+        (["scope"], "top.frep", "[]"),
+        (["formal", "eval", "p", "--model"], "model.json", '"x"'),
+        (["formal", "eval", "p", "--model"], "model.json", '{"domain": ["e"], "predicates": []}'),
+    ],
+    ids=["frep-validate-list", "scope-list", "eval-model-string", "eval-model-list-predicates"],
+)
+def test_json_of_the_wrong_shape_exits_1_with_one_error_line(tmp_path, argv, file, content):
+    (tmp_path / file).write_text(content)
+    code, out, err = run_cli(*argv, str(tmp_path / file))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "object" in err
+
+
+def test_frep_validate_refuses_a_vacuous_binder(tmp_path):
+    data = json.loads((CORPUS_DIR / "jones-saw-everyone.frep").read_text())
+    data["string"] = "forall x. J S J"
+    (tmp_path / "vacuous.frep").write_text(json.dumps(data))
+    code, out, err = run_cli("frep", "validate", str(tmp_path / "vacuous.frep"))
+    assert (code, out) == (1, "")
+    assert err == "error: VacuousBinder(variable='x')\n"
+
+
 # ----------------------------------------------------------------- goldens
 
 

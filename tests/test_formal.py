@@ -6,7 +6,12 @@ an implementation that shares no code with the package.
 """
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
+import time
+import typing
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -20,6 +25,7 @@ from pmodel.formal import (
     Atom,
     Exists,
     Forall,
+    Formula,
     FormulaSyntaxError,
     Implies,
     Membership,
@@ -315,10 +321,107 @@ def test_sheffer_rewrites_each_shared_subterm_once():
     distinct, mask = len(_distinct_nodes(out)), _dag_mask(out, {})
     assert distinct <= 2 * depth + 1
     assert mask == 0b10  # (c & c) is c
-    # a shared subterm keeps one rewrite; nothing is reused by the next call
+    # a shared subterm keeps one rewrite, and the next call returns it
     shared_once = out.left.left is out.left.right
-    rebuilt = to_sheffer(chain).left.left is not out.left.left
-    assert shared_once and rebuilt
+    kept = to_sheffer(chain) is out
+    assert shared_once and kept
+
+
+def _chain(depth):
+    chain = P
+    for _ in range(depth):
+        chain = And(chain, chain)
+    return chain
+
+
+def test_equality_and_hash_are_linear_on_shared_dags():
+    # two independently built rewrites of a tree of 2**65 - 1 nodes: any
+    # walk that reads them as trees runs for ever
+    t0 = time.perf_counter()
+    a, b = to_sheffer(_chain(64)), to_sheffer(_chain(64))
+    same, same_hash = a == b, hash(a) == hash(b)
+    differ = a == to_sheffer(Not(_chain(63)))
+    elapsed = time.perf_counter() - t0
+    assert a is not b and same and same_hash and not differ
+    assert elapsed < 0.5
+
+
+def test_sheffer_returns_the_kept_rewrite():
+    f = parse_formula("forall x. (x in H -> !(J S x & p))")
+    g = to_sheffer(f)
+    assert to_sheffer(f) is g
+    assert to_sheffer(f.body) is g.body  # the subterm's own rewrite, kept on it
+
+
+NODES = [
+    Atom("p"),
+    Membership(var("x"), "H"),
+    Membership(const("J"), "S", var("x")),
+    Not(P),
+    And(P, Q),
+    Or(P, Q),
+    Implies(P, Q),
+    Sheffer(P, Q),
+    Pierce(P, Q),
+    Forall("x", Membership(var("x"), "H")),
+    Exists("y", Not(P)),
+    WhQuery("x", Membership(var("x"), "H"), P),
+    ProbAssertion("snow", Fraction(4, 5)),
+]
+
+
+def _positional_match(f):
+    """The fields of f read back through its positional match pattern."""
+    match f:
+        case Atom(name):
+            return (name,)
+        case Membership(subject, predicate, obj):
+            return (subject, predicate, obj)
+        case Not(body):
+            return (body,)
+        case And(left, right) | Or(left, right) | Implies(left, right):
+            return (left, right)
+        case Sheffer(left, right) | Pierce(left, right):
+            return (left, right)
+        case Forall(v, body) | Exists(v, body):
+            return (v, body)
+        case WhQuery(v, restrictor, body):
+            return (v, restrictor, body)
+        case ProbAssertion(event, p):
+            return (event, p)
+
+
+@pytest.mark.parametrize("f", NODES, ids=lambda f: type(f).__name__)
+def test_node_contract(f):
+    for copied in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert copied == f and hash(copied) == hash(f) and type(copied) is type(f)
+        assert render_formula(copied) == render_formula(f)
+    fields = _positional_match(f)
+    assert fields is not None and fields == tuple(getattr(f, n) for n in type(f).__match_args__)
+    for name in type(f).__match_args__ + ("_sheffer", "anything"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(f, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(f, name)
+    assert not hasattr(f, "__dict__")
+
+
+def test_node_types_are_all_covered():
+    covered = {type(f) for f in NODES}
+    assert covered == set(typing.get_args(Formula))
+
+
+def test_constructors_still_validate():
+    with pytest.raises(ValueError, match="bad quantified variable"):
+        Forall("X", P)
+    with pytest.raises(ValueError, match="invalid atom symbol"):
+        Atom("forall")
+    with pytest.raises(ValueError, match="outside"):
+        ProbAssertion("snow", Fraction(3, 2))
+    with pytest.raises(ValueError, match="shaped like a variable"):
+        const("x")
+    assert ProbAssertion("snow", 0.5).p == Fraction(1, 2)
+    assert Membership(subject=var("x"), predicate="H") == Membership(var("x"), "H", None)
 
 
 def _only_sheffer_connectives(f) -> bool:

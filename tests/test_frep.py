@@ -17,6 +17,7 @@ from pmodel.frep import (
     Force,
     FRepValidationError,
     LexicalReferent,
+    VacuousBinder,
     binding_referents,
     build_frep,
     frep_from_json,
@@ -119,6 +120,21 @@ def test_emphasis_must_name_a_term_of_the_string(symbol):
     with pytest.raises(FRepValidationError) as exc:
         make_frep(string="forall x. (x in H -> x S x)", force=Force("declarative", emphasis=symbol))
     assert f"EmphasisNotATerm(symbol='{symbol}')" in map(repr, exc.value.diagnostics)
+
+
+@pytest.mark.parametrize(
+    "string",
+    ["forall x. exists y. y in H", "exists y. forall x. x S x", "wh x. (exists y. y in H , exists y. y S y)"],
+    ids=["forall", "exists", "wh"],
+)
+def test_a_binder_whose_variable_occurs_nowhere_is_refused(string):
+    with pytest.raises(FRepValidationError) as exc:
+        make_frep(string=string)
+    assert exc.value.diagnostics == (VacuousBinder(string.split()[1].rstrip(".")),)
+
+
+def test_a_query_variable_in_its_restrictor_alone_is_not_vacuous():
+    make_frep(string="wh x. (x in H , exists y. y in H)")
 
 
 def test_symbol_of_ignores_case():

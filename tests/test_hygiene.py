@@ -1,4 +1,5 @@
-"""Source hygiene of the package, read with the stdlib `ast` module alone.
+"""Source hygiene of the package, read with the stdlib `ast` module, and the
+shape of the formula node classes.
 
 Every name a `src/pmodel` module imports must be used in that module or be
 listed in its `__all__`; an import kept only for re-export without being
@@ -6,14 +7,18 @@ declared is dead weight that a rewrite can leave behind unnoticed. For the
 same reason, every module-level `_private` function or class must be
 referenced somewhere in the package outside its own definition, and every
 public one must be referenced so or be exported in `pmodel.__all__`.
+Every formula node type must be a slotted value on the shared node base.
 """
 from __future__ import annotations
 
 import ast
+import typing
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from pmodel import formal
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pmodel"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -100,3 +105,18 @@ def test_no_unreferenced_private_definitions():
 
 def test_public_definitions_are_referenced_or_exported():
     assert unexported_public_definitions(MODULES) == []
+
+
+def test_formula_nodes_are_slotted_values():
+    """A node type without slots would carry a __dict__, and one without the
+    shared node base would compare and hash by walking its formula as a tree,
+    which is exponential on the shared DAGs to_sheffer returns."""
+    sample = formal.parse_formula(
+        "wh x. (x in H , forall y. exists z. (!p & ((q v r) -> ((J S y |/ z in H) !v prob(e) = 1/2))))"
+    )
+    nodes = {type(g): g for g, _ in formal.preorder(sample)}
+    assert set(nodes) == set(typing.get_args(formal.Formula))
+    for cls, g in nodes.items():
+        assert "__slots__" in vars(cls) and not hasattr(g, "__dict__"), cls.__name__
+        assert (cls.__eq__, cls.__hash__) == (formal._Node.__eq__, formal._Node.__hash__)
+        assert formal.rebuild(g, formal.children(g)) == g

@@ -227,6 +227,23 @@ def test_emphasis_on_a_name_outside_the_string_is_refused():
         _name_frep("W in R", "J", {**WILSON, "J": ("Jones", "N"), "R": ("ran", "V")})
 
 
+def test_a_vacuous_binder_is_refused_before_compare():
+    words = {**WILSON, "J": ("Jones", "N"), "S": ("saw", "V"), "x": ("everyone", "Q")}
+    with pytest.raises(FRepValidationError, match="VacuousBinder"):
+        _name_frep("forall x. W S J", None, words)
+
+
+@pytest.mark.parametrize(
+    "string,word",
+    [("wh y. (y in H , W in R)", ("who", "WH")), ("forall y. (y in H -> W in R)", ("everyone", "Q"))],
+    ids=["wh-restrictor-only", "forall-sort-guard-only"],
+)
+def test_a_binder_with_no_trace_in_the_matrix_comes_back_formal_only(string, word):
+    r = compare(_name_frep(string, None, {**WILSON, "R": ("ran", "V"), "y": word}))
+    assert r.formal_only and not r.agreed
+    assert r.warnings == ("cannot spell out quantifier variable 'y' without a trace",)
+
+
 def test_compare_scoped_reading():
     r = compare(SCOPED)
     assert render_formula(r.canonical) == "exists y. forall x. ((x in H & y in H) -> x S y)"
