@@ -18,7 +18,9 @@ stdout alone. `PMODEL_CORPUS_DIR` overrides the packaged corpus location.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import difflib
+import functools
 import io
 import json
 import os
@@ -244,14 +246,11 @@ def _load_cases(path: str) -> list[tuple[str, list[str]]]:
 
 def _run_case(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        code = args.func(args, out)
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
     except SystemExit as exc:
-        return (exc.code if isinstance(exc.code, int) else 2), out.getvalue()
-    except _INPUT_ERRORS as exc:
-        return _report(exc), out.getvalue()
+        code = exc.code if isinstance(exc.code, int) else 2
     return code, out.getvalue()
 
 
@@ -298,6 +297,7 @@ def _cmd_corpus_run(args, out: TextIO) -> int:
 # ------------------------------------------------------------------ parser
 
 
+@functools.cache  # parsing leaves the parser as it was; corpus run calls main per case
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pmodel")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,7 +2,7 @@
 
 external referents   word -> opaque entity id
 lexical referents    formal symbol <-> word, with a category tag
-formal declarants    calculus, sorted parameters, scope order, locality notes
+formal declarants    calculus, sorted parameters, scope order
 formal string        a Formula
 force                mood plus optional emphasis target
 
@@ -13,7 +13,7 @@ their lexical referent uses the variable name as its symbol (category Q/WH).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping, Optional
 
@@ -37,7 +37,6 @@ from .formal import (
 CALCULI = ("predicate", "probability")
 CATEGORIES = ("N", "V", "Q", "WH", "DET", "P")
 MOODS = ("declarative", "interrogative")
-LOCALITY = ("local", "global")
 FREP_VERSION = 1
 
 BindingConstraints = frozenset
@@ -52,7 +51,7 @@ class LexicalReferent:
     def __post_init__(self) -> None:
         if self.category not in CATEGORIES:
             raise ValueError(f"bad category: {self.category!r}")
-        if not self.symbol or not self.word:
+        if not all(isinstance(s, str) and s for s in (self.symbol, self.word)):
             raise ValueError("lexical referents need a symbol and a word")
 
 
@@ -61,7 +60,6 @@ class FormalDeclarants:
     calculus: str
     parameters: tuple[tuple[str, str], ...] = ()  # (variable, sort predicate)
     scope_order: Optional[tuple[str, ...]] = None
-    locality: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.calculus not in CALCULI:
@@ -69,10 +67,6 @@ class FormalDeclarants:
         object.__setattr__(self, "parameters", tuple(tuple(p) for p in self.parameters))
         if self.scope_order is not None:
             object.__setattr__(self, "scope_order", tuple(self.scope_order))
-        object.__setattr__(self, "locality", dict(self.locality))
-        for v in self.locality.values():
-            if v not in LOCALITY:
-                raise ValueError(f"bad locality: {v!r}")
 
 
 @dataclass(frozen=True)
@@ -134,11 +128,6 @@ class VacuousBinder:
 
 @dataclass(frozen=True)
 class ScopeOrderUnknownVariable:
-    variable: str
-
-
-@dataclass(frozen=True)
-class LocalityUnknownVariable:
     variable: str
 
 
@@ -246,9 +235,6 @@ def build_frep(external, lexical, declarants, string, force) -> FRepresentation:
         for v in order:
             if v not in bound:
                 diagnostics.append(ScopeOrderUnknownVariable(v))
-    for v in declarants.locality:
-        if v not in bound:
-            diagnostics.append(LocalityUnknownVariable(v))
 
     if diagnostics:
         raise FRepValidationError(diagnostics)
@@ -315,7 +301,6 @@ def frep_to_json(f: FRepresentation) -> dict:
             "scope_order": list(f.declarants.scope_order)
             if f.declarants.scope_order is not None
             else None,
-            "locality": dict(sorted(f.declarants.locality.items())),
         },
         "string": render_formula(f.string),
         "force": {"mood": f.force.mood, "emphasis": f.force.emphasis},
@@ -323,6 +308,7 @@ def frep_to_json(f: FRepresentation) -> dict:
 
 
 def frep_from_json(data: Mapping) -> FRepresentation:
+    """Build and validate an frep from v1 JSON, ignoring keys it does not read."""
     if not isinstance(data, dict):
         raise FRepValidationError([f"frep JSON must be an object, not {type(data).__name__}"])
     version = data.get("frep_version")
@@ -336,12 +322,13 @@ def frep_from_json(data: Mapping) -> FRepresentation:
             if data["declarants"].get("scope_order") is not None
             else None
         ),
-        locality=data["declarants"].get("locality", {}),
     )
     lexical = tuple(
         LexicalReferent(e["symbol"], e["word"], e["category"]) for e in data.get("lexical", ())
     )
     force = Force(data["force"]["mood"], data["force"].get("emphasis"))
+    if not isinstance(data["string"], str):
+        raise FRepValidationError([f"frep string must be text, not {type(data['string']).__name__}"])
     return build_frep(
         external=data.get("external", {}),
         lexical=lexical,

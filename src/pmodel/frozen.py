@@ -36,14 +36,15 @@ class Frozen:
         cls._fields = fields = cls._fields + tuple(own)
         cls.__match_args__ = fields
         # compiled per class, as dataclasses does it: the constructor makes
-        # one call to a bound slot setter per field, then runs the check
+        # one call to a bound slot setter per field, then one to the check
         scope = {f"_set_{name}": getattr(cls, name).__set__ for name in fields}
+        scope["_check"] = getattr(cls, "_check", None)
         scope.update({f"_default_{name}": value for name, value in cls._defaults.items()})
         params = "".join(
             f", {name}=_default_{name}" if name in cls._defaults else f", {name}" for name in fields
         )
         body = "".join(f" _set_{name}(self, {name})\n" for name in fields)
-        body += " self._check()\n" if hasattr(cls, "_check") else ""
+        body += " _check(self)\n" if scope["_check"] else ""
         values = "".join(f"self.{name}, " for name in fields)
         exec(
             f"def __init__(self{params}):\n{body or ' pass'}\n"

@@ -436,23 +436,22 @@ def enumerate_parses(grammar: Grammar, words, max_words: int = 10) -> tuple[Pars
 
 
 def count_parses(grammar: Grammar, words) -> ParseCount:
-    """How many parses `words` has, and the fewest internal nodes among
-    them, by dynamic programming over the packed chart. Builds no trees, so
-    it takes any length."""
+    """How many parses `words` has, by dynamic programming over the packed
+    chart. Builds no trees, so it takes any length. Every rule has two
+    children and every leaf is a word, so each parse of n words has n - 1
+    internal nodes: that is the fewest, with no search."""
     words = list(words)
     chart = _recognize(grammar, words)
-    tally: dict[tuple[str, int, int], tuple[int, int]] = {}  # (parses, min nodes)
+    tally: dict[tuple[str, int, int], int] = {}
     for (i, k), cell in chart.items():
         for category, backpointers in cell.items():
-            if backpointers is None:
-                tally[(category, i, k)] = (1, 0)
-                continue
-            pairs = [(tally[(r.left, i, j)], tally[(r.right, j, k)]) for r, j in backpointers]
             tally[(category, i, k)] = (
-                sum(lp * rp for (lp, _), (rp, _) in pairs),
-                1 + min(ln + rn for (_, ln), (_, rn) in pairs),
+                1
+                if backpointers is None
+                else sum(tally[(r.left, i, j)] * tally[(r.right, j, k)] for r, j in backpointers)
             )
-    return ParseCount(*tally.get((grammar.start, 0, len(words)), (0, None)))
+    parses = tally.get((grammar.start, 0, len(words)), 0)
+    return ParseCount(parses, len(words) - 1 if parses else None)
 
 
 def is_garden_path(grammar: Grammar, words) -> bool:

@@ -5,10 +5,9 @@ to logical form. P direction: a logical form is spelled straight out of the
 F-representation and lowered to deep structure, so surface structure is the
 last step and no logical-form level exists downstream. compare() runs both
 from the same F-representation and checks that the T pipeline's recovered
-logical form matches the canonicalized formal string and that both sides
-report identical DS -> SS movement. The second check holds by construction:
-the T pipeline starts from the P pipeline's DS, and both realize SS with the
-same apply_emphasis.
+logical form matches the canonicalized formal string. The two sides' DS -> SS
+movement is not compared: the T pipeline starts from the P pipeline's DS, and
+both realize SS with the same apply_emphasis, so it agrees by construction.
 
 Lexicalization is deterministic: quantifier prefixes become fronted indexed
 words, the matrix becomes subject-verb-object order, sort guards vanish into
@@ -85,7 +84,6 @@ class Derivation:
     model: str  # "T" | "P"
     steps: tuple[DerivationStep, ...]
     warnings: tuple[str, ...] = ()
-    frep: Optional[FRepresentation] = None
 
     def __post_init__(self) -> None:
         expected = ("DS", "SS", "LF") if self.model == "T" else ("DS", "SS")
@@ -206,7 +204,7 @@ def derive_p(f: FRepresentation, reading: Optional[Formula] = None) -> Derivatio
         DerivationStep(ds, tuple(lower_records)),
         DerivationStep(ss, (emphasis_record,) if emphasis_record else ()),
     )
-    return Derivation("P", steps, warnings, frep=f)
+    return Derivation("P", steps, warnings)
 
 
 def derive_t(
@@ -333,12 +331,12 @@ def delexicalize(lf: SString, f: FRepresentation) -> Formula:
 class CompareReport:
     """Both derivations of one F-representation and whether they agree.
 
-    lf_match: the T route's recovered logical form is the canonical reading.
-    movement_match: both routes record the same DS -> SS movement. It cannot
-    fail, as both realize SS with the same apply_emphasis on the same DS.
+    lf_match: the T route's recovered logical form is the canonical reading,
+    and the routes agree exactly when it holds. Their DS -> SS movement is
+    not reported: both realize SS with the same apply_emphasis on the same
+    DS, so it cannot differ.
     """
 
-    frep: FRepresentation
     readings: tuple[Formula, ...]
     p: Optional[Derivation] = None
     t: Optional[Derivation] = None
@@ -346,13 +344,12 @@ class CompareReport:
     recovered: Optional[Formula] = None
     lf_match: Optional[bool] = None
     readings_matched: tuple[bool, ...] = ()
-    movement_match: Optional[bool] = None
     formal_only: bool = False
     warnings: tuple[str, ...] = ()
 
     @property
     def agreed(self) -> bool:
-        return bool(self.lf_match) and bool(self.movement_match)
+        return bool(self.lf_match)
 
 
 def compare(f: FRepresentation) -> CompareReport:
@@ -376,14 +373,9 @@ def compare(f: FRepresentation) -> CompareReport:
         )
         t = derive_t(p.steps[0].sstring, _resolved_force(f), cfg, raise_order)
     except UnlexicalizableNode as e:
-        return CompareReport(
-            frep=f,
-            readings=readings,
-            formal_only=True,
-            warnings=warnings + (str(e),),
-        )
+        return CompareReport(readings=readings, formal_only=True, warnings=warnings + (str(e),))
     except (MovementError, DerivationError) as e:
-        return CompareReport(frep=f, readings=readings, warnings=warnings + (str(e),))
+        return CompareReport(readings=readings, warnings=warnings + (str(e),))
 
     recovered: Optional[Formula] = None
     canonical: Optional[Formula] = None
@@ -405,9 +397,7 @@ def compare(f: FRepresentation) -> CompareReport:
                 matched.append(canonicalize(r) == recovered)
             except NotCanonicalizable:
                 matched.append(False)
-    movement_match = p.steps[1].movements == t.steps[1].movements
     return CompareReport(
-        frep=f,
         readings=readings,
         p=p,
         t=t,
@@ -415,7 +405,6 @@ def compare(f: FRepresentation) -> CompareReport:
         recovered=recovered,
         lf_match=lf_match,
         readings_matched=tuple(matched),
-        movement_match=movement_match,
         warnings=warnings,
     )
 
@@ -448,7 +437,6 @@ def report_to_json(r: CompareReport) -> dict:
         "recovered": render_formula(r.recovered) if r.recovered else None,
         "lf_match": r.lf_match,
         "readings_matched": list(r.readings_matched),
-        "movement_match": r.movement_match,
         "formal_only": r.formal_only,
         "agreed": r.agreed,
         "warnings": list(r.warnings),

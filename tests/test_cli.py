@@ -5,6 +5,8 @@ import json
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR, run_cli
 
@@ -229,3 +231,104 @@ def test_corpus_run_reports_a_malformed_case_and_runs_the_rest(tmp_path, corpus_
     assert sum(line.startswith("ok ") for line in lines) == 33
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: malformed input: TypeError")
+
+
+# ------------------------------------------------------------ loader fuzz
+
+# Every command that reads a file, with the arguments it gets in the golden
+# corpus; "{}" is the file.
+FREP_COMMANDS = (
+    ["frep", "validate", "{}"],
+    ["derive", "p", "{}"],
+    ["scope", "{}"],
+    ["frep", "bindings", "{}"],
+)
+JSON_COMMANDS = {
+    **{path.name: FREP_COMMANDS for path in sorted(CORPUS_DIR.glob("*.frep"))},
+    "jones-model.json": (["formal", "eval", "--model", "{}", "forall x. (x in H -> J S x)"],),
+    "snow-model.json": (["formal", "eval", "--model", "{}", "prob(snow) = 4/5"],),
+}
+TEXT_COMMANDS = {
+    "grammar.cfg": ["gardenpath", "--grammar", "{}", "--oracle", "the woman knows the man left"],
+    "lexicon.tsv": ["recognize", "--lexicon", "{}", "Jon#s s#w ever#one"],
+}
+WORDS = st.sampled_from(["x", "y", "H", "J", "S", "N", "Q", "WH", "predicate", "local", "4/5"])
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | st.text() | WORDS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text() | WORDS, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def key_paths(value, path=()):
+    """Every path of keys and indices into a JSON value, the root first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from key_paths(child, path + (key,))
+
+
+def replaced(value, path, new):
+    if not path:
+        return new
+    value = json.loads(json.dumps(value))
+    *parents, last = path
+    node = value
+    for key in parents:
+        node = node[key]
+    node[last] = new
+    return value
+
+
+@st.composite
+def json_mutation(draw):
+    name = draw(st.sampled_from(sorted(JSON_COMMANDS)))
+    data = json.loads((CORPUS_DIR / name).read_text())
+    path = draw(st.sampled_from(list(key_paths(data))))
+    return name, json.dumps(replaced(data, path, draw(JSON_VALUES))), JSON_COMMANDS[name]
+
+
+@st.composite
+def text_mutation(draw):
+    name = draw(st.sampled_from(sorted(TEXT_COMMANDS)))
+    lines = (CORPUS_DIR / name).read_text().splitlines()
+    tokens = st.sampled_from(sorted({t for line in lines for t in line.split()}))
+    line = draw(st.text() | st.lists(tokens | st.text(max_size=4), max_size=6).map(" ".join))
+    lines[draw(st.integers(0, len(lines) - 1))] = line
+    return name, "\n".join(lines) + "\n", (TEXT_COMMANDS[name],)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_mutation() | text_mutation())
+def test_a_mutated_input_file_succeeds_or_exits_1_with_an_error_line(fuzz_dir, mutation):
+    name, content, commands = mutation
+    path = fuzz_dir / name
+    path.write_text(content, encoding="utf-8")
+    for command in commands:
+        code, _, err = run_cli(*(str(path) if a == "{}" else a for a in command))
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        no_candidate = command[0] == "recognize" and "no candidate at slot" in err
+        assert code == 0 or (code == 1 and (len(errors) == 1 or no_candidate)), (command, content, err)
+
+
+@pytest.mark.parametrize(
+    "path,value,named",
+    [
+        (("string",), [None], "list"),
+        (("lexical", 3, "word"), True, "symbol and a word"),
+    ],
+    ids=["string-list", "word-bool"],
+)
+def test_frep_values_of_the_wrong_type_exit_1_with_one_error_line(tmp_path, path, value, named):
+    data = json.loads((CORPUS_DIR / "jones-saw-everyone.frep").read_text())
+    (tmp_path / "typed.frep").write_text(json.dumps(replaced(data, path, value)))
+    for command in FREP_COMMANDS:
+        code, out, err = run_cli(*(str(tmp_path / "typed.frep") if a == "{}" else a for a in command))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and named in err and len(err.splitlines()) == 1

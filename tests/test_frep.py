@@ -7,6 +7,7 @@ evaluated by the loop-based oracle from test_formal.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import replace
 
 import pytest
@@ -26,6 +27,7 @@ from pmodel.frep import (
     quantified_variables,
     resolve_scope,
 )
+from pmodel.pipeline import compare
 from test_formal import fo_eval
 
 LEX_EVERYONE_SOMEONE = (
@@ -45,7 +47,6 @@ def make_frep(scope_order=None, string=AMBIGUOUS, force=Force("declarative")):
             calculus="predicate",
             parameters=(("x", "H"), ("y", "H")),
             scope_order=scope_order,
-            locality={"x": "local", "y": "local"},
         ),
         string=parse_formula(string),
         force=force,
@@ -143,21 +144,23 @@ def test_symbol_of_ignores_case():
     assert f.symbol_of("nobody") is None
 
 
-def test_scope_order_and_locality_must_name_known_variables():
+def test_scope_order_must_name_known_variables():
     with pytest.raises(FRepValidationError) as exc:
         make_frep(scope_order=("y", "z"))
     assert any("ScopeOrderUnknownVariable" in repr(d) for d in exc.value.diagnostics)
-    with pytest.raises(FRepValidationError) as exc:
-        build_frep(
-            external={},
-            lexical=LEX_EVERYONE_SOMEONE,
-            declarants=FormalDeclarants(
-                "predicate", (("x", "H"), ("y", "H")), locality={"w": "global"}
-            ),
-            string=parse_formula(AMBIGUOUS),
-            force=Force("declarative"),
-        )
-    assert any("LocalityUnknownVariable" in repr(d) for d in exc.value.diagnostics)
+
+
+def test_loader_ignores_a_locality_key(corpus_dir):
+    # earlier v1 files carried per-variable locality notes that no
+    # derivation read; a file with them, even unknown or bogus, loads as one
+    # without
+    data = json.loads((corpus_dir / "everyone-saw-someone.frep").read_text())
+    noted = json.loads(json.dumps(data))
+    noted["declarants"]["locality"] = {"x": "bogus", "w": "local"}
+    f, plain = frep_from_json(noted), frep_from_json(data)
+    assert f == plain
+    assert frep_to_json(f) == frep_to_json(plain) == data
+    assert compare(f) == compare(plain)
 
 
 def test_force_fields():

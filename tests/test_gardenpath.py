@@ -197,6 +197,7 @@ def test_enumerate_keeps_the_chart_order(words):
     count = count_parses(GRAMMAR, words)
     assert count.parses == len(want)
     assert count.min_nodes == (min(t.size for t in parses) if parses else None)
+    assert count.min_nodes == (len(words) - 1 if count.parses else None)
 
 
 def test_order_follows_the_grammar_not_the_cell():

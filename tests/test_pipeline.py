@@ -163,7 +163,7 @@ def test_compare_full_corpus(path):
         assert any("spell out" in w for w in r.warnings)
         assert r.p is None and r.t is None
     else:
-        assert r.lf_match and r.movement_match and r.agreed
+        assert r.lf_match and r.agreed
         assert render_formula(r.recovered) == render_formula(r.canonical)
         # the recovered formula identifies exactly the derived reading
         assert r.readings_matched[0] and sum(r.readings_matched) == 1
@@ -265,7 +265,11 @@ def test_derivation_json_shape():
 
 def test_report_json_shape():
     data = report_to_json(compare(JONES))
-    assert data["lf_match"] is True and data["movement_match"] is True
+    assert set(data) == {
+        "readings", "p", "t", "canonical", "recovered", "lf_match",
+        "readings_matched", "formal_only", "agreed", "warnings",
+    }
+    assert data["lf_match"] is True and data["agreed"] is True
     assert report_to_json(compare(PROB))["formal_only"] is True
 
 
