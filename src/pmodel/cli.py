@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import difflib
 import functools
 import io
 import json
 import os
 import sys
-from importlib import resources
 from typing import Optional, TextIO
 
 from . import formal, frep, gardenpath, lexicon, pipeline, sstring
@@ -225,6 +223,8 @@ def _corpus_dir(args) -> str:
     env = os.environ.get("PMODEL_CORPUS_DIR")
     if env:
         return env
+    from importlib import resources  # 27-42 ms to import; only corpus run needs it
+
     return str(resources.files("pmodel") / "corpus")
 
 
@@ -284,6 +284,8 @@ def _cmd_corpus_run(args, out: TextIO) -> int:
         else:
             failures += 1
             out.write(f"DIFF {name}\n")
+            import difflib  # only a failing case needs it
+
             diff = difflib.unified_diff(
                 want.splitlines(keepends=True),
                 text.splitlines(keepends=True),

@@ -19,7 +19,6 @@ position ("p" above) is a propositional atom.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -236,17 +235,18 @@ _BINARY = {And: "&", Or: "v", Implies: "->", Sheffer: "|/", Pierce: "!v"}
 _GLYPH_TO_BINARY = {g: cls for cls, g in _BINARY.items()}
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Frozen):
     """Finite first-order model; domain entities are opaque strings."""
 
+    __slots__ = ("domain", "predicates", "relations", "constants", "event_probs")
+    _defaults = {"predicates": None, "relations": None, "constants": None, "event_probs": None}
     domain: frozenset[str]
-    predicates: Mapping[str, frozenset[str]] = None  # type: ignore[assignment]
-    relations: Mapping[str, frozenset[tuple[str, str]]] = None  # type: ignore[assignment]
-    constants: Mapping[str, str] = None  # type: ignore[assignment]
-    event_probs: Mapping[str, Fraction] = None  # type: ignore[assignment]
+    predicates: Mapping[str, frozenset[str]]
+    relations: Mapping[str, frozenset[tuple[str, str]]]
+    constants: Mapping[str, str]
+    event_probs: Mapping[str, Fraction]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         object.__setattr__(self, "domain", frozenset(self.domain))
         object.__setattr__(self, "predicates", dict(self.predicates or {}))
         object.__setattr__(self, "relations", dict(self.relations or {}))

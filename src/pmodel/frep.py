@@ -13,7 +13,6 @@ their lexical referent uses the variable name as its symbol (category Q/WH).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping, Optional
 
@@ -33,6 +32,7 @@ from .formal import (
     well_formed,
     wrap_prefix,
 )
+from .frozen import Frozen
 
 CALCULI = ("predicate", "probability")
 CATEGORIES = ("N", "V", "Q", "WH", "DET", "P")
@@ -42,26 +42,27 @@ FREP_VERSION = 1
 BindingConstraints = frozenset
 
 
-@dataclass(frozen=True)
-class LexicalReferent:
+class LexicalReferent(Frozen):
+    __slots__ = ("symbol", "word", "category")
     symbol: str
     word: str
     category: str
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.category not in CATEGORIES:
             raise ValueError(f"bad category: {self.category!r}")
         if not all(isinstance(s, str) and s for s in (self.symbol, self.word)):
             raise ValueError("lexical referents need a symbol and a word")
 
 
-@dataclass(frozen=True)
-class FormalDeclarants:
+class FormalDeclarants(Frozen):
+    __slots__ = ("calculus", "parameters", "scope_order")
+    _defaults = {"parameters": (), "scope_order": None}
     calculus: str
-    parameters: tuple[tuple[str, str], ...] = ()  # (variable, sort predicate)
-    scope_order: Optional[tuple[str, ...]] = None
+    parameters: tuple[tuple[str, str], ...]  # (variable, sort predicate)
+    scope_order: Optional[tuple[str, ...]]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.calculus not in CALCULI:
             raise ValueError(f"bad calculus: {self.calculus!r}")
         object.__setattr__(self, "parameters", tuple(tuple(p) for p in self.parameters))
@@ -69,12 +70,13 @@ class FormalDeclarants:
             object.__setattr__(self, "scope_order", tuple(self.scope_order))
 
 
-@dataclass(frozen=True)
-class Force:
+class Force(Frozen):
+    __slots__ = ("mood", "emphasis")
+    _defaults = {"emphasis": None}
     mood: str
-    emphasis: Optional[str] = None  # a formal symbol with a lexical referent
+    emphasis: Optional[str]  # a formal symbol with a lexical referent
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.mood not in MOODS:
             raise ValueError(f"bad mood: {self.mood!r}")
 
@@ -82,52 +84,52 @@ class Force:
 # ------------------------------------------------------------- diagnostics
 
 
-@dataclass(frozen=True)
-class MissingLexicalReferent:
+class MissingLexicalReferent(Frozen):
+    __slots__ = ("symbol",)
     symbol: str
 
 
-@dataclass(frozen=True)
-class DanglingExternalReferent:
+class DanglingExternalReferent(Frozen):
+    __slots__ = ("word",)
     word: str
 
 
-@dataclass(frozen=True)
-class DuplicateSymbol:
+class DuplicateSymbol(Frozen):
+    __slots__ = ("symbol",)
     symbol: str
 
 
-@dataclass(frozen=True)
-class DuplicateWord:
+class DuplicateWord(Frozen):
+    __slots__ = ("word",)
     word: str
 
 
-@dataclass(frozen=True)
-class IllFormedString:
+class IllFormedString(Frozen):
+    __slots__ = ("diagnostics",)
     diagnostics: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class EmphasisWithoutReferent:
+class EmphasisWithoutReferent(Frozen):
+    __slots__ = ("symbol",)
     symbol: str
 
 
-@dataclass(frozen=True)
-class EmphasisNotATerm:
+class EmphasisNotATerm(Frozen):
     """The emphasis names neither a constant nor a bound variable of the string."""
 
+    __slots__ = ("symbol",)
     symbol: str
 
 
-@dataclass(frozen=True)
-class VacuousBinder:
+class VacuousBinder(Frozen):
     """A quantifier or query whose variable occurs free nowhere under it."""
 
+    __slots__ = ("variable",)
     variable: str
 
 
-@dataclass(frozen=True)
-class ScopeOrderUnknownVariable:
+class ScopeOrderUnknownVariable(Frozen):
+    __slots__ = ("variable",)
     variable: str
 
 
@@ -139,15 +141,15 @@ class FRepValidationError(PmodelError):
         super().__init__("; ".join(repr(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class FRepresentation:
+class FRepresentation(Frozen):
+    __slots__ = ("external", "lexical", "declarants", "string", "force")
     external: Mapping[str, int]
     lexical: tuple[LexicalReferent, ...]
     declarants: FormalDeclarants
     string: Formula
     force: Force
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         object.__setattr__(self, "external", dict(self.external))
         object.__setattr__(self, "lexical", tuple(self.lexical))
 

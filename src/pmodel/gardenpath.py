@@ -36,7 +36,6 @@ chosen on evidence, not eagerly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import PmodelError
@@ -70,15 +69,15 @@ class IncompleteParse(PmodelError):
     pass
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Frozen):
+    __slots__ = ("parent", "left", "right")
     parent: str
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class LexRule:
+class LexRule(Frozen):
+    __slots__ = ("category", "word")
     category: str
     word: str
 
@@ -138,13 +137,13 @@ def tree_to_dot(t: ParseTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Grammar:
+class Grammar(Frozen):
+    __slots__ = ("start", "rules", "lexical", "_lc", "_by_left")
     start: str
     rules: tuple[Rule, ...]
     lexical: tuple[LexRule, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.rules and not self.lexical:
             raise GrammarError("empty grammar")
         if len(set(self.rules)) != len(self.rules) or len(set(self.lexical)) != len(self.lexical):
@@ -168,11 +167,11 @@ class Grammar:
                     if r.parent in lc[c] and r.left not in lc[c]:
                         lc[c].add(r.left)
                         changed = True
-        object.__setattr__(self, "_lc", {c: frozenset(s) for c, s in lc.items()})
+        Grammar._lc.__set__(self, {c: frozenset(s) for c, s in lc.items()})
         by_left: dict[str, list[Rule]] = {}
         for r in self.rules:
             by_left.setdefault(r.left, []).append(r)
-        object.__setattr__(self, "_by_left", {c: tuple(rs) for c, rs in by_left.items()})
+        Grammar._by_left.__set__(self, {c: tuple(rs) for c, rs in by_left.items()})
 
     def left_corners(self, category: str) -> frozenset[str]:
         return self._lc.get(category, frozenset({category}))
@@ -227,10 +226,10 @@ def load_grammar(path) -> Grammar:
     return Grammar(start, tuple(rules), tuple(lexical))
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Frozen):
     """An open binary node: left child built, right child expected."""
 
+    __slots__ = ("rule", "left")
     rule: Rule
     left: ParseTree
 
@@ -239,21 +238,22 @@ class Frame:
         return self.rule.right
 
 
-@dataclass(frozen=True)
-class ParserState:
-    frames: tuple[Frame, ...] = ()
-    pending: Optional[ParseTree] = None  # completed, not yet attached
+class ParserState(Frozen):
+    __slots__ = ("frames", "pending")
+    _defaults = {"frames": (), "pending": None}
+    frames: tuple[Frame, ...]
+    pending: Optional[ParseTree]  # completed, not yet attached
 
 
-@dataclass(frozen=True)
-class StepInfo:
+class StepInfo(Frozen):
+    __slots__ = ("category", "nodes", "pops")
     category: str
     nodes: int  # new internal nodes this word forced
     pops: int  # constituents closed this word
 
 
-@dataclass(frozen=True)
-class StepChoice:
+class StepChoice(Frozen):
+    __slots__ = ("word", "position", "category", "nodes", "pops", "options")
     word: str
     position: int
     category: str

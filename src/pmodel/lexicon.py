@@ -41,13 +41,12 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import PmodelError
 from .frep import CATEGORIES
+from .frozen import Frozen
 
 _FORM_RE = re.compile(r"[A-Za-z][A-Za-z'-]*")
 # Appended to a prefix, sorts after every casefolded form that starts with
@@ -71,15 +70,16 @@ class NoCandidate(PmodelError):
         self.partial = partial
 
 
-@dataclass(frozen=True)
-class LexEntry:
+class LexEntry(Frozen):
+    __slots__ = ("form", "category", "features", "frequency", "symbol")
+    _defaults = {"features": frozenset(), "frequency": 1, "symbol": None}
     form: str
     category: str
-    features: frozenset[str] = frozenset()
-    frequency: int = 1
-    symbol: Optional[str] = None
+    features: frozenset[str]
+    frequency: int
+    symbol: Optional[str]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not _FORM_RE.fullmatch(self.form):
             raise LexiconError(f"bad form {self.form!r}")
         if self.category not in CATEGORIES:
@@ -88,11 +88,11 @@ class LexEntry:
             raise LexiconError(f"negative frequency for {self.form!r}")
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(Frozen):
+    __slots__ = ("entries", "_cache")
     entries: tuple[LexEntry, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         seen = set()
         for e in self.entries:
             key = (e.form.casefold(), e.category)
@@ -108,12 +108,15 @@ class Lexicon:
         hi = bisect_right(index.folds, needle, lo)
         return tuple(index.ordered[r] for r in index.ranks[lo:hi])
 
-    @cached_property
+    @property
     def _index(self) -> _Index:
         # Depends on the entries alone, never on a query. Built on first use
-        # rather than in __post_init__, so loading a lexicon that is never
-        # searched stays cheap. Not a field: it takes no part in ==, hash or
-        # repr.
+        # rather than in _check, so loading a lexicon that is never searched
+        # stays cheap, and kept in the _cache slot. Not a field: it takes no
+        # part in ==, hash or repr.
+        index = getattr(self, "_cache", None)
+        if index is not None:
+            return index
         entries = self.entries
         folds = [e.form.casefold() for e in entries]
         order = sorted(range(len(entries)), key=lambda i: _cohort_key(entries[i]))
@@ -121,11 +124,13 @@ class Lexicon:
         for r, i in enumerate(order):
             rank[i] = r
         by_fold = sorted(range(len(entries)), key=folds.__getitem__)  # stable: file order
-        return _Index(
+        index = _Index(
             ordered=tuple(entries[i] for i in order),
             folds=[folds[i] for i in by_fold],
             ranks=[rank[i] for i in by_fold],
         )
+        Lexicon._cache.__set__(self, index)
+        return index
 
 
 class _Index(NamedTuple):
@@ -166,12 +171,12 @@ def _cohort_key(e: LexEntry):
     return (-e.frequency, e.form, e.category)
 
 
-@dataclass(frozen=True)
-class Cohort:
+class Cohort(Frozen):
+    __slots__ = ("prefix", "members")
     prefix: str
     members: tuple[LexEntry, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         object.__setattr__(self, "members", tuple(sorted(self.members, key=_cohort_key)))
 
     @classmethod

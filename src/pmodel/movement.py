@@ -18,10 +18,10 @@ what the rendered subscripts in derivations look like.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PmodelError
+from .frozen import Frozen
 from .sstring import CloseBracket, Indexed, OpenBracket, SString, Trace, Word
 
 
@@ -75,27 +75,31 @@ class BindingViolation(MovementError):
         self.word = word
 
 
-@dataclass(frozen=True)
-class GrammarConfig:
+class GrammarConfig(Frozen):
     """Word-class knowledge for a (toy) language."""
 
-    quantifier_words: frozenset[str] = frozenset(
-        {"everyone", "everybody", "everything", "someone", "somebody", "something"}
-    )
-    wh_words: frozenset[str] = frozenset({"who", "whom", "what", "which", "whose"})
+    __slots__ = ("quantifier_words", "wh_words")
+    _defaults = {
+        "quantifier_words": frozenset(
+            {"everyone", "everybody", "everything", "someone", "somebody", "something"}
+        ),
+        "wh_words": frozenset({"who", "whom", "what", "which", "whose"}),
+    }
+    quantifier_words: frozenset[str]
+    wh_words: frozenset[str]
 
 
 DEFAULT_CONFIG = GrammarConfig()
 
 
-@dataclass(frozen=True)
-class MovementRecord:
+class MovementRecord(Frozen):
+    __slots__ = ("operation", "index", "source", "target")
     operation: str
     index: int
     source: int  # position of the trace in the resulting item sequence
     target: int  # position of the landed item in the resulting item sequence
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.source == self.target:
             raise ValueError("a movement record needs distinct source and target")
 

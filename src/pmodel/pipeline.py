@@ -17,7 +17,6 @@ do-support "did" (realization only; it has no formal symbol).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PmodelError
@@ -39,6 +38,7 @@ from .formal import (
     wrap_prefix,
 )
 from .frep import Force, FRepresentation, binding_referents, resolve_scope
+from .frozen import Frozen
 from .movement import (
     DEFAULT_CONFIG,
     GrammarConfig,
@@ -73,19 +73,21 @@ class DelexicalizeFailure(DerivationError):
     pass
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(Frozen):
+    __slots__ = ("sstring", "movements")
+    _defaults = {"movements": ()}
     sstring: SString
-    movements: tuple[MovementRecord, ...] = ()
+    movements: tuple[MovementRecord, ...]
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Frozen):
+    __slots__ = ("model", "steps", "warnings")
+    _defaults = {"warnings": ()}
     model: str  # "T" | "P"
     steps: tuple[DerivationStep, ...]
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         expected = ("DS", "SS", "LF") if self.model == "T" else ("DS", "SS")
         levels = tuple(st.sstring.level for st in self.steps)
         if self.model not in ("T", "P") or levels != expected:
@@ -327,8 +329,7 @@ def delexicalize(lf: SString, f: FRepresentation) -> Formula:
 # ------------------------------------------------------------- comparison
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(Frozen):
     """Both derivations of one F-representation and whether they agree.
 
     lf_match: the T route's recovered logical form is the canonical reading,
@@ -337,15 +338,23 @@ class CompareReport:
     DS, so it cannot differ.
     """
 
+    __slots__ = (
+        "readings", "p", "t", "canonical", "recovered", "lf_match",
+        "readings_matched", "formal_only", "warnings",
+    )
+    _defaults = {
+        "p": None, "t": None, "canonical": None, "recovered": None, "lf_match": None,
+        "readings_matched": (), "formal_only": False, "warnings": (),
+    }
     readings: tuple[Formula, ...]
-    p: Optional[Derivation] = None
-    t: Optional[Derivation] = None
-    canonical: Optional[Formula] = None
-    recovered: Optional[Formula] = None
-    lf_match: Optional[bool] = None
-    readings_matched: tuple[bool, ...] = ()
-    formal_only: bool = False
-    warnings: tuple[str, ...] = ()
+    p: Optional[Derivation]
+    t: Optional[Derivation]
+    canonical: Optional[Formula]
+    recovered: Optional[Formula]
+    lf_match: Optional[bool]
+    readings_matched: tuple[bool, ...]
+    formal_only: bool
+    warnings: tuple[str, ...]
 
     @property
     def agreed(self) -> bool:

@@ -13,10 +13,10 @@ with exactly one indexed item.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import PmodelError
+from .frozen import Frozen
 
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z'-]*\Z")
 _TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z'-]*)_([0-9]+)\Z")
@@ -30,70 +30,71 @@ class InvalidSString(PmodelError):
     pass
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
+    __slots__ = ("text",)
     text: str
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not _WORD_RE.match(self.text):
             raise InvalidSString(f"bad word text: {self.text!r}")
 
 
-@dataclass(frozen=True)
-class Indexed:
+class Indexed(Frozen):
     """A word carrying a movement index, e.g. Everyone_1."""
 
+    __slots__ = ("text", "index")
     text: str
     index: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not _WORD_RE.match(self.text) or self.text in TRACE_KINDS:
             raise InvalidSString(f"bad indexed text: {self.text!r}")
         if self.index < 0:
             raise InvalidSString("negative index")
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Frozen):
+    __slots__ = ("kind", "index")
     kind: str  # "t" | "x" | "y"
     index: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind not in TRACE_KINDS:
             raise InvalidSString(f"bad trace kind: {self.kind!r}")
         if self.index < 0:
             raise InvalidSString("negative index")
 
 
-@dataclass(frozen=True)
-class OpenBracket:
-    label: Optional[str] = None
+class OpenBracket(Frozen):
+    __slots__ = ("label",)
+    _defaults = {"label": None}
+    label: Optional[str]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.label not in BRACKET_LABELS:
             raise InvalidSString(f"bad bracket label: {self.label!r}")
 
 
-@dataclass(frozen=True)
-class CloseBracket:
-    pass
+class CloseBracket(Frozen):
+    __slots__ = ()
 
 
 Item = Union[Word, Indexed, Trace, OpenBracket, CloseBracket]
 
 
-@dataclass(frozen=True)
-class SString:
+class SString(Frozen):
     """A string at one level. Validation also records each chain's positions
     in `coindex` (index -> (Indexed position, Trace position), by index); it
     sits outside the fields, so ==, hash and repr ignore it, and callers
     must not change it."""
 
+    __slots__ = ("level", "items", "punctuation", "_coindex")
+    _defaults = {"punctuation": None}
     level: str
     items: tuple[Item, ...]
-    punctuation: Optional[str] = None  # None | "question"
+    punctuation: Optional[str]  # None | "question"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.level not in LEVELS:
             raise InvalidSString(f"bad level: {self.level!r}")
         if self.punctuation not in (None, "question"):
@@ -122,9 +123,11 @@ class SString:
             raise InvalidSString("unbalanced brackets")
         if indexed.keys() != traces.keys() or chained != 2 * len(indexed):
             raise InvalidSString("coindexation must pair each index exactly once")
-        object.__setattr__(
-            self, "coindex", {i: (indexed[i], traces[i]) for i in sorted(indexed)}
-        )
+        SString._coindex.__set__(self, {i: (indexed[i], traces[i]) for i in sorted(indexed)})
+
+    @property
+    def coindex(self) -> dict[int, tuple[int, int]]:
+        return self._coindex
 
 
 def _token(item: Item) -> str:

@@ -346,6 +346,23 @@ def test_equality_and_hash_are_linear_on_shared_dags():
     assert elapsed < 0.5
 
 
+def test_repr_writes_each_shared_node_once():
+    # written as a tree, the depth-12 rewrite is 604 million characters
+    t0 = time.perf_counter()
+    texts = {depth: repr(to_sheffer(_chain(depth))) for depth in (6, 12)}
+    elapsed = time.perf_counter() - t0
+    sizes = {depth: len(_distinct_nodes(to_sheffer(_chain(depth)))) for depth in texts}
+    assert elapsed < 1.0
+    assert all(len(texts[d]) <= 40 * sizes[d] for d in texts)
+    # a later occurrence is a back-reference to the labelled first one
+    shared = And(P, P)
+    assert repr(Or(shared, shared)) == (
+        "Or(left=#1=And(left=#2=Atom(name='p'), right=#2#), right=#1#)"
+    )
+    # nothing shared, nothing labelled: the field-by-field form
+    assert repr(And(Atom("p"), Atom("p"))) == "And(left=Atom(name='p'), right=Atom(name='p'))"
+
+
 def test_sheffer_returns_the_kept_rewrite():
     f = parse_formula("forall x. (x in H -> !(J S x & p))")
     g = to_sheffer(f)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -16,6 +15,7 @@ from pmodel.formal import Forall, Exists, Model, evaluate, parse_formula, render
 from pmodel.frep import (
     FormalDeclarants,
     Force,
+    FRepresentation,
     FRepValidationError,
     LexicalReferent,
     VacuousBinder,
@@ -189,7 +189,9 @@ def test_one_reading_with_scope_order():
 
 def test_rebound_variable_gives_each_reading_once():
     # build_frep rejects shadowing, so the representation is built in code
-    f = replace(make_frep(), string=parse_formula("forall x. forall x. exists y. x S y"))
+    valid = make_frep()
+    string = parse_formula("forall x. forall x. exists y. x S y")
+    f = FRepresentation(valid.external, valid.lexical, valid.declarants, string, valid.force)
     readings = [render_formula(r) for r in resolve_scope(f)]
     assert readings == [
         "forall x. forall x. exists y. x S y",

@@ -7,18 +7,28 @@ declared is dead weight that a rewrite can leave behind unnoticed. For the
 same reason, every module-level `_private` function or class must be
 referenced somewhere in the package outside its own definition, and every
 public one must be referenced so or be exported in `pmodel.__all__`.
-Every formula node type must be a slotted value on the shared node base.
+Every formula node type must be a slotted value on the shared node base,
+every other value class a slotted `Frozen` value, and importing the package
+must not load the modules that dataclasses would.
 """
 from __future__ import annotations
 
 import ast
+import copy
+import os
+import pickle
+import subprocess
+import sys
 import typing
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 
-from pmodel import formal
+import pmodel
+from pmodel import formal, frep, gardenpath, lexicon, movement, pipeline, sstring
+from pmodel.frozen import Frozen
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pmodel"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -120,3 +130,119 @@ def test_formula_nodes_are_slotted_values():
         assert "__slots__" in vars(cls) and not hasattr(g, "__dict__"), cls.__name__
         assert (cls.__eq__, cls.__hash__) == (formal._Node.__eq__, formal._Node.__hash__)
         assert formal.rebuild(g, formal.children(g)) == g
+
+
+def test_no_module_uses_dataclasses():
+    """Value classes are `Frozen` subclasses: building a dataclass and
+    importing `dataclasses` (and `inspect` with it) was most of the cost of
+    `import pmodel`. frozen.py imports it only to raise FrozenInstanceError."""
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        assert "dataclass" not in _imported(tree), path.name
+        assert "dataclass" not in _references(tree), path.name
+        for node in tree.body:
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            module = node.module if isinstance(node, ast.ImportFrom) else None
+            assert "dataclasses" not in names and module != "dataclasses", path.name
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+def test_import_loads_no_rarely_used_module(flags):
+    """A fresh interpreter imports the package and its command line without
+    dataclasses or inspect; without site (which may load importlib.resources
+    through an installed package's .pth file) not importlib.resources either."""
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, pmodel, pmodel.cli; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, *flags, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "pmodel.cli" in loaded
+    unwanted = {"dataclasses", "inspect", "difflib"} | ({"importlib.resources"} if flags else set())
+    assert unwanted.isdisjoint(loaded)
+
+
+def _value_samples() -> list:
+    """One instance of every value class outside the formula nodes."""
+    f = frep.load_frep(Path(pmodel.__file__).parent / "corpus" / "everyone-saw-someone.frep")
+    report = pipeline.compare(f)
+    rule, leaf = gardenpath.Rule("VP", "V", "NP"), gardenpath.ParseTree("V", word="saw")
+    entry = lexicon.LexEntry("Jones", "N", frozenset({"name"}), 40, "J")
+    return [
+        formal.Model(frozenset({"e"}), {"H": frozenset({"e"})}),
+        formal.var("x"),
+        f,
+        f.lexical[0],
+        f.declarants,
+        f.force,
+        frep.MissingLexicalReferent("S"),
+        frep.DanglingExternalReferent("Jones"),
+        frep.DuplicateSymbol("S"),
+        frep.DuplicateWord("Jones"),
+        frep.IllFormedString(("UndeclaredVariable: z",)),
+        frep.EmphasisWithoutReferent("S"),
+        frep.EmphasisNotATerm("S"),
+        frep.VacuousBinder("x"),
+        frep.ScopeOrderUnknownVariable("z"),
+        rule,
+        gardenpath.LexRule("V", "saw"),
+        gardenpath.Grammar("VP", (rule,), (gardenpath.LexRule("V", "saw"), gardenpath.LexRule("NP", "J"))),
+        leaf,
+        gardenpath.Frame(rule, leaf),
+        gardenpath.ParserState((gardenpath.Frame(rule, leaf),)),
+        gardenpath.StepInfo("V", 1, 0),
+        gardenpath.StepChoice("saw", 1, "V", 1, 0, 2),
+        entry,
+        lexicon.Lexicon((entry,)),
+        lexicon.Cohort("J", (entry,)),
+        movement.DEFAULT_CONFIG,
+        movement.MovementRecord("quantifier_raise", 1, 3, 0),
+        report,
+        report.p,
+        report.p.steps[0],
+        sstring.Word("Jones"),
+        sstring.Indexed("Everyone", 1),
+        sstring.Trace("t", 1),
+        sstring.OpenBracket("CP"),
+        sstring.CloseBracket(),
+        report.p.steps[0].sstring,
+    ]
+
+
+def _frozen_classes() -> set[type]:
+    found, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.add(sub)
+            todo.append(sub)
+    return found
+
+
+def test_value_samples_cover_every_value_class():
+    formula_nodes = {cls for cls in _frozen_classes() if issubclass(cls, formal._Node)}
+    assert {type(v) for v in _value_samples()} == _frozen_classes() - formula_nodes
+
+
+@pytest.mark.parametrize("value", _value_samples(), ids=lambda v: type(v).__name__)
+def test_value_class_contract(value):
+    cls = type(value)
+    assert "__slots__" in vars(cls) and not hasattr(value, "__dict__")
+    for name in cls.__match_args__ + ("anything",):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, None)
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(copied) is cls and copied == value
+    assert cls(*value._astuple()) == value  # the constructor takes the fields in order
+
+
+def test_value_reprs_are_the_dataclass_ones():
+    # command-line errors print these, e.g. "error: EmphasisNotATerm(symbol='S')"
+    assert repr(frep.EmphasisNotATerm("S")) == "EmphasisNotATerm(symbol='S')"
+    assert repr(sstring.Word("Jones")) == "Word(text='Jones')"
+    assert repr(sstring.CloseBracket()) == "CloseBracket()"
+    assert repr(frep.Force("declarative")) == "Force(mood='declarative', emphasis=None)"
+    assert repr(frep.IllFormedString(("a",))) == "IllFormedString(diagnostics=('a',))"
+    assert repr(lexicon.LexEntry("saw", "V")) == (
+        "LexEntry(form='saw', category='V', features=frozenset(), frequency=1, symbol=None)"
+    )
