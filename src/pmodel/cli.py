@@ -13,6 +13,10 @@ One binary, verb subcommands:
 Exit codes: 0 success, 1 domain error, 2 usage error. Output ordering is
 deterministic everywhere; warnings go to stderr so golden files capture
 stdout alone. `PMODEL_CORPUS_DIR` overrides the packaged corpus location.
+
+Importing this module loads no pmodel module but `errors`. Each command
+imports the modules it runs inside its handler, so `gardenpath` never loads
+the formula kernel and `recognize` never loads the F-representation layer.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ import os
 import sys
 from typing import Optional, TextIO
 
-from . import formal, frep, gardenpath, lexicon, pipeline, sstring
-from .errors import PmodelError
+from .errors import CATEGORIES, MOODS, PmodelError
 
 # The exceptions a command raises on bad input; each exits 1 with one line.
 _INPUT_ERRORS = (PmodelError, OSError, KeyError, ValueError, TypeError)
@@ -49,11 +52,15 @@ def _report(exc: Exception) -> int:
 
 
 def _cmd_formal_parse(args, out: TextIO) -> int:
+    from . import formal
+
     out.write(formal.render_formula(formal.parse_formula(args.formula)) + "\n")
     return 0
 
 
 def _cmd_formal_eval(args, out: TextIO) -> int:
+    from . import formal
+
     f = formal.parse_formula(args.formula)
     with open(args.model, encoding="utf-8") as fh:
         model = formal.model_from_json(json.load(fh))
@@ -62,6 +69,8 @@ def _cmd_formal_eval(args, out: TextIO) -> int:
 
 
 def _cmd_formal_sheffer(args, out: TextIO) -> int:
+    from . import formal
+
     f = formal.parse_formula(args.formula)
     out.write(formal.render_formula(formal.to_sheffer(f)) + "\n")
     return 0
@@ -71,6 +80,8 @@ def _cmd_formal_sheffer(args, out: TextIO) -> int:
 
 
 def _cmd_frep_validate(args, out: TextIO) -> int:
+    from . import formal, frep
+
     f = frep.load_frep(args.path)
     out.write("valid\n")
     out.write(f"string: {formal.render_formula(f.string)}\n")
@@ -80,6 +91,8 @@ def _cmd_frep_validate(args, out: TextIO) -> int:
 
 
 def _cmd_frep_bindings(args, out: TextIO) -> int:
+    from . import frep
+
     f = frep.load_frep(args.path)
     for word, entity in sorted(frep.binding_referents(f)):
         out.write(f"{word} -> {entity}\n")
@@ -89,7 +102,9 @@ def _cmd_frep_bindings(args, out: TextIO) -> int:
 # ------------------------------------------------------------------ derive
 
 
-def _print_derivation(d: pipeline.Derivation, fmt: str, out: TextIO) -> None:
+def _print_derivation(d, fmt: str, out: TextIO) -> None:
+    from . import pipeline, sstring
+
     if fmt == "json":
         out.write(json.dumps(pipeline.derivation_to_json(d), indent=2, sort_keys=True) + "\n")
         return
@@ -109,6 +124,8 @@ def _print_derivation(d: pipeline.Derivation, fmt: str, out: TextIO) -> None:
 
 
 def _cmd_derive_p(args, out: TextIO) -> int:
+    from . import frep, pipeline
+
     f = frep.load_frep(args.path)
     if args.emphasis:
         symbol = f.symbol_of(args.emphasis)
@@ -132,6 +149,8 @@ def _cmd_derive_p(args, out: TextIO) -> int:
 
 
 def _cmd_derive_t(args, out: TextIO) -> int:
+    from . import frep, pipeline, sstring
+
     ds = sstring.parse_sstring(args.ds, "DS")
     force = frep.Force(args.force, args.emphasis)
     d = pipeline.derive_t(ds, force)
@@ -140,6 +159,8 @@ def _cmd_derive_t(args, out: TextIO) -> int:
 
 
 def _cmd_scope(args, out: TextIO) -> int:
+    from . import formal, frep
+
     f = frep.load_frep(args.path)
     for n, reading in enumerate(frep.resolve_scope(f), start=1):
         out.write(f"{n}. {formal.render_formula(reading)}\n")
@@ -152,18 +173,22 @@ def _cmd_scope(args, out: TextIO) -> int:
 def _parse_expect(raw: Optional[str], n_slots: int):
     if raw is None:
         return None
+    from .lexicon import LexiconError
+
     fields = raw.split(",")
     if len(fields) != n_slots:
-        raise lexicon.LexiconError(
+        raise LexiconError(
             f"--expect lists {len(fields)} categories for {n_slots} tokens"
         )
     for f in fields:
-        if f != "-" and f not in frep.CATEGORIES:
-            raise lexicon.LexiconError(f"unknown category {f!r} in --expect")
+        if f != "-" and f not in CATEGORIES:
+            raise LexiconError(f"unknown category {f!r} in --expect")
     return [None if f == "-" else {f} for f in fields]
 
 
 def _cmd_recognize(args, out: TextIO) -> int:
+    from . import lexicon
+
     lex = lexicon.load_lexicon(args.lexicon)
     tokens = args.sentence.split()
     if not tokens:
@@ -189,9 +214,11 @@ def _cmd_recognize(args, out: TextIO) -> int:
 
 
 def _cmd_gardenpath(args, out: TextIO) -> int:
+    from . import gardenpath
+
     grammar = gardenpath.load_grammar(args.grammar)
     words = args.sentence.split()
-    failure: Optional[gardenpath.PmodelError] = None
+    failure: Optional[PmodelError] = None
     try:
         tree, steps = gardenpath.parse_incremental(grammar, words)
         out.write(f"tree: {gardenpath.render_tree(tree)}\n")
@@ -336,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_derive_p)
     p = derive_sub.add_parser("t", help="DS -> SS -> LF")
     p.add_argument("ds", help="bracketed deep-structure string")
-    p.add_argument("--force", required=True, choices=frep.MOODS)
+    p.add_argument("--force", required=True, choices=MOODS)
     p.add_argument("--emphasis", help="word to front for emphasis")
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.set_defaults(func=_cmd_derive_t)

@@ -16,7 +16,7 @@ import json
 from itertools import permutations
 from typing import Mapping, Optional
 
-from .errors import PmodelError
+from .errors import CATEGORIES, MOODS, PmodelError
 from .formal import (
     BINDERS,
     Exists,
@@ -35,8 +35,6 @@ from .formal import (
 from .frozen import Frozen
 
 CALCULI = ("predicate", "probability")
-CATEGORIES = ("N", "V", "Q", "WH", "DET", "P")
-MOODS = ("declarative", "interrogative")
 FREP_VERSION = 1
 
 BindingConstraints = frozenset

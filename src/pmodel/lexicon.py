@@ -44,8 +44,7 @@ from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import PmodelError
-from .frep import CATEGORIES
+from .errors import CATEGORIES, PmodelError
 from .frozen import Frozen
 
 _FORM_RE = re.compile(r"[A-Za-z][A-Za-z'-]*")

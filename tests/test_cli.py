@@ -21,9 +21,9 @@ def golden_text(name: str) -> str:
 
 
 def test_usage_errors_exit_2():
-    assert run_cli()[0] == 2
-    assert run_cli("formal")[0] == 2
-    assert run_cli("derive", "sideways", "x")[0] == 2
+    for argv in ((), ("formal",), ("derive", "sideways", "x")):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == "" and err.startswith("usage:"), argv
 
 
 def test_domain_errors_exit_1():

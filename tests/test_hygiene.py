@@ -1,20 +1,23 @@
 """Source hygiene of the package, read with the stdlib `ast` module, and the
 shape of the formula node classes.
 
-Every name a `src/pmodel` module imports must be used in that module or be
-listed in its `__all__`; an import kept only for re-export without being
-declared is dead weight that a rewrite can leave behind unnoticed. For the
-same reason, every module-level `_private` function or class must be
+Every name a `src/pmodel` module imports must be used in that module: the
+package exports through its table of names, not by importing them, so an
+unused import is dead weight that a rewrite can leave behind unnoticed. For
+the same reason, every module-level `_private` function or class must be
 referenced somewhere in the package outside its own definition, and every
 public one must be referenced so or be exported in `pmodel.__all__`.
 Every formula node type must be a slotted value on the shared node base,
 every other value class a slotted `Frozen` value, and importing the package
-must not load the modules that dataclasses would.
+must not load the modules that dataclasses would. `import pmodel` loads no
+submodule; each loader and command loads only the layers it runs, and every
+exported name still resolves.
 """
 from __future__ import annotations
 
 import ast
 import copy
+import importlib
 import os
 import pickle
 import subprocess
@@ -47,20 +50,10 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return out
 
 
-def _exported(tree: ast.Module) -> set[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return {elt.value for elt in node.value.elts}
-    return set()
-
-
 def unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    kept = used | _exported(tree)
-    return [f"{path.name}:{line}: {name}" for name, line in _imported(tree).items() if name not in kept]
+    return [f"{path.name}:{line}: {name}" for name, line in _imported(tree).items() if name not in used]
 
 
 def _references(tree: ast.AST) -> Counter[str]:
@@ -94,7 +87,7 @@ def unreferenced_private_definitions(paths) -> list[str]:
 
 
 def unexported_public_definitions(paths) -> list[str]:
-    exported = _exported(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")))
+    exported = set(pmodel.__all__)
     return _unreferenced_definitions(
         paths, lambda name: not name.startswith("_") and name not in exported
     )
@@ -146,21 +139,122 @@ def test_no_module_uses_dataclasses():
             assert "dataclasses" not in names and module != "dataclasses", path.name
 
 
+def _run_fresh(probe: str, *flags: str) -> str:
+    """The stdout of PROBE run in a fresh interpreter that imports pmodel from src."""
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *flags, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def _fresh_modules(code: str, *flags: str) -> set[str]:
+    """sys.modules of a fresh interpreter that imports pmodel and
+    pmodel.cli, then runs CODE."""
+    out = _run_fresh(f"import sys, pmodel, pmodel.cli\n{code}\nprint(' '.join(sorted(sys.modules)))", *flags)
+    return set(out.splitlines()[-1].split())
+
+
+def _pmodel_modules(loaded: set[str]) -> set[str]:
+    return {name.removeprefix("pmodel.") for name in loaded if name.split(".")[0] == "pmodel"}
+
+
 @pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
 def test_import_loads_no_rarely_used_module(flags):
     """A fresh interpreter imports the package and its command line without
     dataclasses or inspect; without site (which may load importlib.resources
-    through an installed package's .pth file) not importlib.resources either."""
-    src = str(PACKAGE.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    probe = "import sys, pmodel, pmodel.cli; print(' '.join(sorted(sys.modules)))"
-    loaded = subprocess.run(
-        [sys.executable, *flags, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert "pmodel.cli" in loaded
+    through an installed package's .pth file) not importlib.resources either.
+    No submodule but errors is loaded: each is imported on first use."""
+    loaded = _fresh_modules("", *flags)
+    assert _pmodel_modules(loaded) == {"pmodel", "cli", "errors"}
     unwanted = {"dataclasses", "inspect", "difflib"} | ({"importlib.resources"} if flags else set())
     assert unwanted.isdisjoint(loaded)
+
+
+CORPUS = PACKAGE / "corpus"
+SHELL = {"pmodel", "cli", "errors"}
+
+
+@pytest.mark.parametrize(
+    "code,allowed,unwanted",
+    [
+        (f"pmodel.load_grammar({str(CORPUS / 'grammar.cfg')!r})", SHELL | {"frozen", "gardenpath"}, {"fractions"}),
+        (f"pmodel.load_lexicon({str(CORPUS / 'lexicon.tsv')!r})", None, {"pmodel.formal", "pmodel.frep"}),
+        (
+            f"pmodel.load_frep({str(CORPUS / 'jones-saw-everyone.frep')!r})",
+            None,
+            {f"pmodel.{m}" for m in ("pipeline", "movement", "sstring", "lexicon", "gardenpath")},
+        ),
+        (
+            "pmodel.cli.main(['gardenpath', '--grammar', "
+            f"{str(CORPUS / 'grammar.cfg')!r}, '--oracle', 'the woman knows the man left'])",
+            None,
+            {"pmodel.formal", "pmodel.frep"},
+        ),
+        (
+            "pmodel.cli.main(['recognize', '--lexicon', "
+            f"{str(CORPUS / 'lexicon.tsv')!r}, '--expect', 'N,V,Q', 'Jon#s s#w ever#one'])",
+            None,
+            {"pmodel.formal", "pmodel.frep"},
+        ),
+    ],
+    ids=["load_grammar", "load_lexicon", "load_frep", "cli-gardenpath", "cli-recognize"],
+)
+def test_each_loader_and_command_loads_only_its_layers(code, allowed, unwanted):
+    """A process pays only for the layers it runs: the grammar needs no
+    formula kernel (nor the `fractions` it imports), the lexicon no
+    F-representations, an F-representation no derivation layer."""
+    loaded = _fresh_modules(code)
+    if allowed is not None:
+        assert _pmodel_modules(loaded) == allowed
+    assert unwanted.isdisjoint(loaded), sorted(unwanted & loaded)
+
+
+SUBMODULES = ("errors", "formal", "frep", "frozen", "gardenpath", "lexicon", "movement", "pipeline", "sstring")
+
+# the public names, as the package exported them when it imported every module eagerly
+PUBLIC_NAMES = set(
+    """And Atom BoundExceeded CloseBracket Cohort CompareReport DEFAULT_CONFIG Derivation
+    DerivationError DerivationStep Exists Forall Force FormalDeclarants Formula FormulaSyntaxError
+    FRepresentation FRepValidationError Grammar GrammarConfig Implies IncompleteParse Indexed
+    InvalidSString LexEntry LexicalReferent Lexicon Membership Model MovementError MovementRecord
+    NoAttachment NoCandidate Not NotCanonicalizable OpenBracket Or ParseCount ParseTree Pierce
+    PmodelError ProbAssertion SString Sheffer Term Trace WhQuery Word access apply_emphasis
+    binding_referents build_frep canonicalize compare count_parses delexicalize derive_p derive_t
+    edit_distance enumerate_parses equivalent_mod_indices evaluate free_vars frep_from_json
+    frep_to_json integrate is_garden_path load_frep load_grammar load_lexicon model_from_json
+    model_to_json parse_formula parse_incremental parse_sstring quantifier_lower quantifier_raise
+    recognize render render_formula render_tree report_to_json resolve_scope select step strip
+    to_sheffer tree_to_dot well_formed wh_lower wh_raise""".split()
+)
+
+
+def test_exports_are_the_public_names():
+    assert len(pmodel.__all__) == len(PUBLIC_NAMES) == 91
+    assert set(pmodel.__all__) == PUBLIC_NAMES
+
+
+def test_each_export_is_its_modules_object():
+    for name in pmodel.__all__:
+        module = importlib.import_module(f"pmodel.{pmodel._OWNER[name]}")
+        assert getattr(pmodel, name) is getattr(module, name), name
+        assert vars(pmodel)[name] is getattr(module, name), name  # kept as a plain global
+
+
+def test_bare_import_resolves_every_submodule():
+    probe = f"import sys, pmodel\nprint([getattr(pmodel, m) is sys.modules['pmodel.' + m] for m in {SUBMODULES!r}])"
+    assert _run_fresh(probe) == f"{[True] * len(SUBMODULES)}\n"
+
+
+def test_star_import_dir_and_unknown_names():
+    namespace: dict = {}
+    exec("from pmodel import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(pmodel.__all__)
+    assert set(pmodel.__all__) | set(SUBMODULES) <= set(dir(pmodel))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pmodel.no_such_name
+    assert not hasattr(pmodel, "no_such_name")
 
 
 def _value_samples() -> list:
