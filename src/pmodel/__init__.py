@@ -40,8 +40,8 @@ _EXPORTS = {
         "integrate", "load_lexicon", "recognize", "select",
     ),
     "movement": (
-        "DEFAULT_CONFIG", "GrammarConfig", "MovementError", "MovementRecord",
-        "apply_emphasis", "quantifier_lower", "quantifier_raise", "wh_lower", "wh_raise",
+        "MovementError", "MovementRecord", "apply_emphasis", "quantifier_lower",
+        "quantifier_raise", "wh_lower", "wh_raise",
     ),
     "pipeline": (
         "CompareReport", "Derivation", "DerivationError", "DerivationStep", "compare",

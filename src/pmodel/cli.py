@@ -12,7 +12,7 @@ One binary, verb subcommands:
 
 Exit codes: 0 success, 1 domain error, 2 usage error. Output ordering is
 deterministic everywhere; warnings go to stderr so golden files capture
-stdout alone. `PMODEL_CORPUS_DIR` overrides the packaged corpus location.
+stdout alone.
 
 Importing this module loads no pmodel module but `errors`. Each command
 imports the modules it runs inside its handler, so `gardenpath` never loads
@@ -247,9 +247,6 @@ def _cmd_gardenpath(args, out: TextIO) -> int:
 def _corpus_dir(args) -> str:
     if args.dir:
         return args.dir
-    env = os.environ.get("PMODEL_CORPUS_DIR")
-    if env:
-        return env
     from importlib import resources  # 27-42 ms to import; only corpus run needs it
 
     return str(resources.files("pmodel") / "corpus")

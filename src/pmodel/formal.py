@@ -700,12 +700,11 @@ class WellFormedness(NamedTuple):
     diagnostics: tuple[str, ...]
 
 
-def well_formed(f: Formula, declarants=None, known_symbols=None) -> WellFormedness:
+def well_formed(f: Formula, declarants=None) -> WellFormedness:
     """Well-formedness against a declaration context.
 
     `declarants` needs `.calculus` and `.parameters` (pairs of variable, sort
-    predicate); `known_symbols` optionally closes the symbol vocabulary.
-    Returns ok plus the full diagnostic list.
+    predicate). Returns ok plus the full diagnostic list.
     """
     nodes = list(preorder(f))
     diagnostics = [
@@ -714,22 +713,11 @@ def well_formed(f: Formula, declarants=None, known_symbols=None) -> WellFormedne
         if isinstance(g, BINDERS) and g.variable in bound
     ]
 
-    declared_vars: set[str] = set()
-    sort_predicates: set[str] = set()
     calculus = getattr(declarants, "calculus", None)
-    for v, sort in getattr(declarants, "parameters", ()) or ():
-        declared_vars.add(v)
-        sort_predicates.add(sort)
-
-    free, symbols = _names(nodes)
+    declared_vars = {v for v, _ in getattr(declarants, "parameters", ()) or ()}
     if declarants is not None:
-        for name in sorted(free - declared_vars):
+        for name in sorted(_names(nodes)[0] - declared_vars):
             diagnostics.append(f"UndeclaredVariable: {name}")
-
-    if known_symbols is not None:
-        allowed = set(known_symbols) | sort_predicates
-        for name in sorted(symbols - allowed):
-            diagnostics.append(f"UnknownSymbol: {name}")
 
     has_prob = any(type(g) is ProbAssertion for g, _ in nodes)
     has_quantifier = any(isinstance(g, BINDERS) for g, _ in nodes)

@@ -7,7 +7,8 @@ formal string        a Formula
 force                mood plus optional emphasis target
 
 Quantifier and Wh words bind to the string through the quantified variable:
-their lexical referent uses the variable name as its symbol (category Q/WH).
+their lexical referent uses the variable name as its symbol (category Q/WH),
+and its word must be one of errors.QUANTIFIER_WORDS or errors.WH_WORDS.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 from itertools import permutations
 from typing import Mapping, Optional
 
-from .errors import CATEGORIES, MOODS, PmodelError
+from .errors import CATEGORIES, MOODS, QUANTIFIER_WORDS, WH_WORDS, PmodelError
 from .formal import (
     BINDERS,
     Exists,
@@ -51,6 +52,9 @@ class LexicalReferent(Frozen):
             raise ValueError(f"bad category: {self.category!r}")
         if not all(isinstance(s, str) and s for s in (self.symbol, self.word)):
             raise ValueError("lexical referents need a symbol and a word")
+        words = {"Q": QUANTIFIER_WORDS, "WH": WH_WORDS}.get(self.category)
+        if words is not None and self.word.lower() not in words:
+            raise ValueError(f"{self.category} word {self.word!r} is not one of: {', '.join(sorted(words))}")
 
 
 class FormalDeclarants(Frozen):
@@ -209,7 +213,7 @@ def build_frep(external, lexical, declarants, string, force) -> FRepresentation:
     for word in sorted(set(external) - seen_words):
         diagnostics.append(DanglingExternalReferent(word))
 
-    wf = well_formed(string, declarants, known_symbols=seen_symbols)
+    wf = well_formed(string, declarants)
     if not wf.ok:
         diagnostics.append(IllFormedString(wf.diagnostics))
     diagnostics += _vacuous_binders(string)

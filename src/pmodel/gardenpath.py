@@ -253,13 +253,12 @@ class StepInfo(Frozen):
 
 
 class StepChoice(Frozen):
-    __slots__ = ("word", "position", "category", "nodes", "pops", "options")
+    __slots__ = ("word", "position", "category", "nodes", "pops")
     word: str
     position: int
     category: str
     nodes: int
     pops: int
-    options: int
 
 
 def _expectation(grammar: Grammar, frames: list[Frame]) -> str:
@@ -331,9 +330,7 @@ def parse_incremental(grammar: Grammar, words) -> tuple[ParseTree, tuple[StepCho
             raise NoAttachment(word, position)
         best = min(range(len(options)), key=lambda k: (options[k][1].nodes, options[k][1].pops, k))
         state, info = options[best]
-        trace.append(
-            StepChoice(word, position, info.category, info.nodes, info.pops, len(options))
-        )
+        trace.append(StepChoice(word, position, info.category, info.nodes, info.pops))
     pend = state.pending
     frames = list(state.frames)
     if pend is not None:

@@ -70,11 +70,10 @@ class NoCandidate(PmodelError):
 
 
 class LexEntry(Frozen):
-    __slots__ = ("form", "category", "features", "frequency", "symbol")
-    _defaults = {"features": frozenset(), "frequency": 1, "symbol": None}
+    __slots__ = ("form", "category", "frequency", "symbol")
+    _defaults = {"frequency": 1, "symbol": None}
     form: str
     category: str
-    features: frozenset[str]
     frequency: int
     symbol: Optional[str]
 
@@ -143,7 +142,7 @@ class _Index(NamedTuple):
 def load_lexicon(path) -> Lexicon:
     """Tab-separated: form, category, features, frequency, optional symbol.
 
-    features is "-" or a comma-separated list; lines starting with "#" and
+    The features column is accepted and ignored; lines starting with "#" and
     blank lines are skipped.
     """
     entries = []
@@ -155,14 +154,13 @@ def load_lexicon(path) -> Lexicon:
             cols = line.split("\t")
             if len(cols) not in (4, 5):
                 raise LexiconError(f"line {lineno}: expected 4 or 5 columns, got {len(cols)}")
-            form, category, feats, freq = cols[:4]
+            form, category, _, freq = cols[:4]
             symbol = cols[4] if len(cols) == 5 and cols[4] else None
-            features = frozenset() if feats == "-" else frozenset(feats.split(","))
             try:
                 frequency = int(freq)
             except ValueError:
                 raise LexiconError(f"line {lineno}: bad frequency {freq!r}") from None
-            entries.append(LexEntry(form, category, features, frequency, symbol))
+            entries.append(LexEntry(form, category, frequency, symbol))
     return Lexicon(tuple(entries))
 
 

@@ -10,7 +10,8 @@ emphasis topicalizes its target, and with neither the vacuous y-traces are
 erased. Each of these moves is one step (_move): the word lands with the
 chain's index and leaves a trace of the level's kind. Raising also accepts
 a partly raised LF, and lowering a partly lowered DS, so a clause's movers
-move one at a time.
+move one at a time. A word's class decides which moves apply to it: the
+quantifier and Wh words are the fixed tables QUANTIFIER_WORDS and WH_WORDS.
 
 Index bookkeeping: new chains take max(used) + 1 starting at 1, which is
 what the rendered subscripts in derivations look like.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import PmodelError
+from .errors import QUANTIFIER_WORDS, WH_WORDS, PmodelError
 from .frozen import Frozen
 from .sstring import CloseBracket, Indexed, OpenBracket, SString, Trace, Word
 
@@ -73,23 +74,6 @@ class BindingViolation(MovementError):
     def __init__(self, word: str):
         super().__init__(f"binding constraint broken for {word!r}")
         self.word = word
-
-
-class GrammarConfig(Frozen):
-    """Word-class knowledge for a (toy) language."""
-
-    __slots__ = ("quantifier_words", "wh_words")
-    _defaults = {
-        "quantifier_words": frozenset(
-            {"everyone", "everybody", "everything", "someone", "somebody", "something"}
-        ),
-        "wh_words": frozenset({"who", "whom", "what", "which", "whose"}),
-    }
-    quantifier_words: frozenset[str]
-    wh_words: frozenset[str]
-
-
-DEFAULT_CONFIG = GrammarConfig()
 
 
 class MovementRecord(Frozen):
@@ -149,17 +133,15 @@ def _trace_position(items, index: int, kind: str) -> int:
     raise BrokenCoindexation(f"index {index} has no {kind}-trace")
 
 
-def _wh_positions(items, config: GrammarConfig) -> list[int]:
+def _wh_positions(items) -> list[int]:
     """Positions of the Wh items; the fragment allows at most one."""
-    wh = _matching(items, config.wh_words)
+    wh = _matching(items, WH_WORDS)
     if len(wh) > 1:
         raise MultipleWhItems("more than one Wh item")
     return wh
 
 
-def quantifier_raise(
-    s: SString, qpos: int, config: GrammarConfig = DEFAULT_CONFIG
-) -> tuple[SString, MovementRecord]:
+def quantifier_raise(s: SString, qpos: int) -> tuple[SString, MovementRecord]:
     """SS -> LF: front the quantifier word at qpos, leaving an x-trace.
 
     A logical form is accepted too, so the quantifiers of one clause raise
@@ -168,7 +150,7 @@ def quantifier_raise(
     undecorated.
     """
     _check_level(s, "SS", "LF")
-    if qpos not in _matching(s.items, config.quantifier_words) or not isinstance(s.items[qpos], Word):
+    if qpos not in _matching(s.items, QUANTIFIER_WORDS) or not isinstance(s.items[qpos], Word):
         raise NotAQuantifier(qpos)
 
     index = _next_index(s.items)
@@ -181,10 +163,10 @@ def quantifier_raise(
     return result, MovementRecord("quantifier_raise", index, source=tpos, target=ipos)
 
 
-def wh_raise(s: SString, config: GrammarConfig = DEFAULT_CONFIG) -> SString:
+def wh_raise(s: SString) -> SString:
     """SS -> LF: covert movement; t-traces become x-traces, order unchanged."""
     _check_level(s, "SS")
-    if not _wh_positions(s.items, config):
+    if not _wh_positions(s.items):
         raise NoWhItem("no Wh item to interpret")
     if sum(isinstance(it, Trace) and it.kind == "t" for it in s.items) > 1:
         raise BrokenCoindexation("more than one t-trace")
@@ -220,20 +202,18 @@ def _lower(
     return result, MovementRecord(operation, fronted.index, source=qpos, target=tpos)
 
 
-def quantifier_lower(
-    s: SString, config: GrammarConfig = DEFAULT_CONFIG
-) -> tuple[SString, MovementRecord]:
+def quantifier_lower(s: SString) -> tuple[SString, MovementRecord]:
     """LF -> DS: the fronted quantifier returns to its x-trace slot; a y-trace
     marks the vacated front and the bracket decoration is dropped. A partly
     lowered deep structure is accepted too, so a clause's fronted items
     lower one at a time."""
-    return _lower(s, config.quantifier_words, "quantifier_lower", NoFrontedQuantifier)
+    return _lower(s, QUANTIFIER_WORDS, "quantifier_lower", NoFrontedQuantifier)
 
 
-def wh_lower(s: SString, config: GrammarConfig = DEFAULT_CONFIG) -> tuple[SString, MovementRecord]:
+def wh_lower(s: SString) -> tuple[SString, MovementRecord]:
     """LF (or partly lowered DS) -> DS: like quantifier_lower but for the
     fronted Wh item."""
-    return _lower(s, config.wh_words, "wh_lower", NoWhItem)
+    return _lower(s, WH_WORDS, "wh_lower", NoWhItem)
 
 
 def _erase_vacuous(items: list) -> None:
@@ -250,12 +230,7 @@ def _erase_vacuous(items: list) -> None:
     items[:] = kept
 
 
-def apply_emphasis(
-    s: SString,
-    force,
-    binding=frozenset(),
-    config: GrammarConfig = DEFAULT_CONFIG,
-) -> tuple[SString, Optional[MovementRecord]]:
+def apply_emphasis(s: SString, force, binding=frozenset()) -> tuple[SString, Optional[MovementRecord]]:
     """DS -> SS realization driven by force.
 
     Interrogative mood fronts the Wh item into the y-trace position with a
@@ -265,20 +240,18 @@ def apply_emphasis(
     once for every word bound in the binding constraints.
     """
     _check_level(s, "DS")
-    mood = getattr(force, "mood", "declarative")
-    emphasis = getattr(force, "emphasis", None)
     items = [it for it in s.items if not isinstance(it, (OpenBracket, CloseBracket))]
 
     moved_index: Optional[int] = None
     operation = None
-    wh_positions = _wh_positions(items, config) if mood == "interrogative" else []
+    wh_positions = _wh_positions(items) if force.mood == "interrogative" else []
     if wh_positions:
         moved_index = _front(items, wh_positions[0])
         operation = "wh_fronting"
-    elif emphasis is not None:
-        target = _matching(items, {emphasis.lower()})
+    elif force.emphasis is not None:
+        target = _matching(items, {force.emphasis.lower()})
         if not target:
-            raise EmphasisTargetMissing(emphasis)
+            raise EmphasisTargetMissing(force.emphasis)
         moved_index = _front(items, target[0])
         operation = "emphasis_fronting"
 

@@ -12,14 +12,17 @@ both realize SS with the same apply_emphasis, so it agrees by construction.
 Lexicalization is deterministic: quantifier prefixes become fronted indexed
 words, the matrix becomes subject-verb-object order, sort guards vanish into
 the quantifier words, and interrogatives with a non-subject Wh get
-do-support "did" (realization only; it has no formal symbol).
+do-support "did" (realization only; it has no formal symbol). Which fronted
+item lowers as a Wh item and which surface words raise as quantifiers is
+read off the fixed word tables WH_WORDS and QUANTIFIER_WORDS; the frep
+loader refuses a Q or WH referent whose word is in neither.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .errors import PmodelError
+from .errors import QUANTIFIER_WORDS, WH_WORDS, PmodelError
 from .formal import (
     BINDERS,
     And,
@@ -40,8 +43,6 @@ from .formal import (
 from .frep import Force, FRepresentation, binding_referents, resolve_scope
 from .frozen import Frozen
 from .movement import (
-    DEFAULT_CONFIG,
-    GrammarConfig,
     MovementError,
     MovementRecord,
     apply_emphasis,
@@ -92,15 +93,6 @@ class Derivation(Frozen):
         levels = tuple(st.sstring.level for st in self.steps)
         if self.model not in ("T", "P") or levels != expected:
             raise ValueError(f"bad level sequence for {self.model}: {levels}")
-
-
-def config_for(f: FRepresentation) -> GrammarConfig:
-    """Extend the default grammar config with the frep's own quantifier and Wh words."""
-    return GrammarConfig(
-        quantifier_words=DEFAULT_CONFIG.quantifier_words
-        | {r.word.lower() for r in f.lexical if r.category == "Q"},
-        wh_words=DEFAULT_CONFIG.wh_words | {r.word.lower() for r in f.lexical if r.category == "WH"},
-    )
 
 
 def _conjuncts(f: Formula) -> list[Formula]:
@@ -186,7 +178,6 @@ def _resolved_force(f: FRepresentation) -> Force:
 def derive_p(f: FRepresentation, reading: Optional[Formula] = None) -> Derivation:
     """F-representation -> DS -> SS. Ambiguity is resolved to the first
     reading and flagged in warnings."""
-    cfg = config_for(f)
     readings = resolve_scope(f)
     warnings: tuple[str, ...] = ()
     if reading is None:
@@ -198,10 +189,10 @@ def derive_p(f: FRepresentation, reading: Optional[Formula] = None) -> Derivatio
     # every fronted item of the spell-out lowers, outermost first
     ds, lower_records = _lexicalize(f, reading), []
     for head in [it for it in ds.items if isinstance(it, Indexed)]:
-        lower = wh_lower if head.text.lower() in cfg.wh_words else quantifier_lower
-        ds, record = lower(ds, cfg)
+        lower = wh_lower if head.text.lower() in WH_WORDS else quantifier_lower
+        ds, record = lower(ds)
         lower_records.append(record)
-    ss, emphasis_record = apply_emphasis(ds, _resolved_force(f), binding_referents(f), cfg)
+    ss, emphasis_record = apply_emphasis(ds, _resolved_force(f), binding_referents(f))
     steps = (
         DerivationStep(ds, tuple(lower_records)),
         DerivationStep(ss, (emphasis_record,) if emphasis_record else ()),
@@ -209,26 +200,21 @@ def derive_p(f: FRepresentation, reading: Optional[Formula] = None) -> Derivatio
     return Derivation("P", steps, warnings)
 
 
-def derive_t(
-    ds: SString,
-    force: Force,
-    config: GrammarConfig = DEFAULT_CONFIG,
-    raise_order: Optional[tuple[str, ...]] = None,
-) -> Derivation:
+def derive_t(ds: SString, force: Force, raise_order: Optional[tuple[str, ...]] = None) -> Derivation:
     """DS -> SS -> LF. force.emphasis here names a surface word.
 
     raise_order lists quantifier words outermost first; default is surface
     order. Raising happens innermost first so the outermost lands leftmost.
     """
-    ss, emphasis_record = apply_emphasis(ds, force, frozenset(), config)
+    ss, emphasis_record = apply_emphasis(ds, force)
     s = ss
     records: list[MovementRecord] = []
-    if any(isinstance(it, (Word, Indexed)) and it.text.lower() in config.wh_words for it in ss.items):
-        lf = wh_raise(ss, config)
+    if any(isinstance(it, (Word, Indexed)) and it.text.lower() in WH_WORDS for it in ss.items):
+        lf = wh_raise(ss)
     else:
         if raise_order is None:
             raise_order = tuple(
-                it.text for it in ss.items if isinstance(it, Word) and it.text.lower() in config.quantifier_words
+                it.text for it in ss.items if isinstance(it, Word) and it.text.lower() in QUANTIFIER_WORDS
             )
         for word in reversed(raise_order):
             wanted = word.lower()
@@ -237,7 +223,7 @@ def derive_t(
                 None,
             )
             if pos is not None:
-                s, record = quantifier_raise(s, pos, config)
+                s, record = quantifier_raise(s, pos)
                 records.append(record)
             # a word that emphasis fronted already has its chain
             elif not any(isinstance(it, Indexed) and it.text.lower() == wanted for it in s.items):
@@ -368,7 +354,6 @@ def compare(f: FRepresentation) -> CompareReport:
     all other per-stage failures land in warnings rather than raising, and
     the report then does not agree.
     """
-    cfg = config_for(f)
     readings = resolve_scope(f)
     warnings: tuple[str, ...] = ()
     if len(readings) > 1:
@@ -380,7 +365,7 @@ def compare(f: FRepresentation) -> CompareReport:
             for q in split_prefix(readings[0], BINDERS)[0]
             if not isinstance(q, WhQuery)
         )
-        t = derive_t(p.steps[0].sstring, _resolved_force(f), cfg, raise_order)
+        t = derive_t(p.steps[0].sstring, _resolved_force(f), raise_order)
     except UnlexicalizableNode as e:
         return CompareReport(readings=readings, formal_only=True, warnings=warnings + (str(e),))
     except (MovementError, DerivationError) as e:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import random
 
-from pmodel.movement import DEFAULT_CONFIG
+from pmodel.errors import QUANTIFIER_WORDS
 from pmodel.sstring import Indexed, SString, Trace, Word, parse_sstring
 
 SUBJECTS = ("Jones", "Mary", "Ralph", "Kim", "Lee")
 VERBS = ("saw", "heard", "praised")
 INTRANSITIVES = ("slept", "left")
-QUANTIFIERS = tuple(sorted(DEFAULT_CONFIG.quantifier_words))
+QUANTIFIERS = tuple(sorted(QUANTIFIER_WORDS))
 WH_WORDS = ("who", "what", "whom")
 
 FILLER = ("ko", "ra", "mel", "tam", "bix", "sor", "den", "pol", "gart", "lun")

@@ -196,12 +196,6 @@ def test_corpus_run_passes(corpus_dir):
     assert all(line.startswith("ok ") for line in lines)
 
 
-def test_corpus_dir_env_var(corpus_dir, monkeypatch):
-    monkeypatch.setenv("PMODEL_CORPUS_DIR", str(corpus_dir))
-    code, out, _ = run_cli("corpus", "run")
-    assert code == 0 and len(out.splitlines()) == 33
-
-
 def test_corpus_diff_and_missing(tmp_path, corpus_dir):
     work = tmp_path / "corpus"
     shutil.copytree(corpus_dir, work)
@@ -332,3 +326,16 @@ def test_frep_values_of_the_wrong_type_exit_1_with_one_error_line(tmp_path, path
         code, out, err = run_cli(*(str(tmp_path / "typed.frep") if a == "{}" else a for a in command))
         assert (code, out) == (1, "")
         assert err.startswith("error:") and named in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "file,word", [("jones-saw-everyone.frep", "anybody"), ("who-did-jones-see.frep", "whoever")]
+)
+def test_a_q_or_wh_word_outside_the_tables_is_refused_at_load(tmp_path, file, word):
+    data = json.loads((CORPUS_DIR / file).read_text())
+    data["lexical"][3]["word"] = word  # the Q or WH referent
+    (tmp_path / file).write_text(json.dumps(data))
+    for command in FREP_COMMANDS:
+        code, out, err = run_cli(*(str(tmp_path / file) if a == "{}" else a for a in command))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and repr(word) in err and len(err.splitlines()) == 1

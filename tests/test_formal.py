@@ -664,30 +664,15 @@ def ref_binders(f, bound=frozenset()) -> list:
     return [(f.variable, f.variable in bound)] + [b for k in _kids(f) for b in ref_binders(k, inner)]
 
 
-def ref_symbols(f) -> frozenset:
-    if isinstance(f, Atom):
-        return frozenset({f.name})
-    if isinstance(f, ProbAssertion):
-        return frozenset({f.event})
-    if isinstance(f, Membership):
-        constants = {t.name for t in (f.subject, f.obj) if t is not None and t.kind == "constant"}
-        return frozenset({f.predicate} | constants)
-    return frozenset().union(*map(ref_symbols, _kids(f)))
-
-
 def ref_has_prob(f) -> bool:
     return isinstance(f, ProbAssertion) or any(map(ref_has_prob, _kids(f)))
 
 
-def ref_well_formed(f, declarants, known_symbols) -> tuple:
+def ref_well_formed(f, declarants) -> tuple:
     out = [f"Shadowing: {v} rebound" for v, rebound in ref_binders(f) if rebound]
-    params = declarants.parameters if declarants is not None else ()
     if declarants is not None:
-        declared = {v for v, _ in params}
+        declared = {v for v, _ in declarants.parameters}
         out += [f"UndeclaredVariable: {v}" for v in sorted(ref_free_vars(f) - declared)]
-    if known_symbols is not None:
-        allowed = set(known_symbols) | {sort for _, sort in params}
-        out += [f"UnknownSymbol: {s}" for s in sorted(ref_symbols(f) - allowed)]
     calculus = getattr(declarants, "calculus", None)
     if calculus == "predicate" and ref_has_prob(f):
         out.append("CalculusMismatch: probability assertion under predicate calculus")
@@ -707,24 +692,23 @@ def test_free_and_bound_variables_match_reference(f):
     fo_formulas(),
     st.sampled_from([None, "predicate", "probability", "propositional"]),
     st.lists(st.tuples(VARIABLES, st.sampled_from(["H", "K"])), max_size=2),
-    st.sampled_from([None, set(), {"p", "H", "S", "J"}]),
 )
-def test_well_formed_matches_reference(f, calculus, parameters, known_symbols):
+def test_well_formed_matches_reference(f, calculus, parameters):
     declarants = None
     if calculus is not None:
         declarants = SimpleNamespace(calculus=calculus, parameters=tuple(parameters))
-    got = well_formed(f, declarants, known_symbols)
-    want = ref_well_formed(f, declarants, known_symbols)
+    got = well_formed(f, declarants)
+    want = ref_well_formed(f, declarants)
     assert got.diagnostics == want and got.ok == (want == ())
 
 
 def test_well_formed_diagnostics():
-    ok = well_formed(parse_formula("forall x. (x in H -> J S x)"), known_symbols={"H", "J", "S"})
+    ok = well_formed(parse_formula("forall x. (x in H -> J S x)"))
     assert ok.ok and ok.diagnostics == ()
     ctx = SimpleNamespace(calculus="predicate", parameters=())
-    free = well_formed(parse_formula("x in H"), declarants=ctx, known_symbols={"H"})
+    free = well_formed(parse_formula("x in H"), declarants=ctx)
     assert not free.ok and any("UndeclaredVariable" in d for d in free.diagnostics)
-    shadow = well_formed(parse_formula("forall x. exists x. x in H"), known_symbols={"H"})
+    shadow = well_formed(parse_formula("forall x. exists x. x in H"))
     assert not shadow.ok and any("Shadowing" in d for d in shadow.diagnostics)
     clash = well_formed(
         ProbAssertion("snow", Fraction(1, 2)),

@@ -18,6 +18,7 @@ from pmodel.frep import (
     FRepresentation,
     FRepValidationError,
     LexicalReferent,
+    MissingLexicalReferent,
     VacuousBinder,
     binding_referents,
     build_frep,
@@ -75,6 +76,15 @@ def test_every_symbol_needs_a_lexical_referent():
             force=Force("declarative"),
         )
     assert any("MissingLexicalReferent" in repr(d) for d in exc.value.diagnostics)
+
+
+@pytest.mark.parametrize("symbol", ["S", "H"], ids=["relation", "sort"])
+def test_a_missing_symbol_is_reported_once(corpus_dir, symbol):
+    data = json.loads((corpus_dir / "jones-saw-everyone.frep").read_text())
+    data["lexical"] = [e for e in data["lexical"] if e["symbol"] != symbol]
+    with pytest.raises(FRepValidationError) as exc:
+        frep_from_json(data)
+    assert exc.value.diagnostics == (MissingLexicalReferent(symbol),)
 
 
 def test_dangling_external_referent():
@@ -167,6 +177,15 @@ def test_force_fields():
     assert Force("interrogative").mood == "interrogative"
     with pytest.raises(ValueError):
         Force("imperative")
+
+
+def test_q_and_wh_referents_name_a_word_of_their_table():
+    assert LexicalReferent("x", "Everyone", "Q").word == "Everyone"  # case is the surface's
+    assert LexicalReferent("x", "whom", "WH").category == "WH"
+    assert LexicalReferent("A", "anybody", "N").category == "N"
+    for word, category in (("anybody", "Q"), ("who", "Q"), ("everyone", "WH")):
+        with pytest.raises(ValueError, match=repr(word)):
+            LexicalReferent("x", word, category)
 
 
 # ----------------------------------------------------------------- scope

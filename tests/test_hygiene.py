@@ -7,6 +7,8 @@ unused import is dead weight that a rewrite can leave behind unnoticed. For
 the same reason, every module-level `_private` function or class must be
 referenced somewhere in the package outside its own definition, and every
 public one must be referenced so or be exported in `pmodel.__all__`.
+The quantifier and Wh words are written out in errors.py alone, and no
+function takes a `config` parameter.
 Every formula node type must be a slotted value on the shared node base,
 every other value class a slotted `Frozen` value, and importing the package
 must not load the modules that dataclasses would. `import pmodel` loads no
@@ -31,6 +33,7 @@ import pytest
 
 import pmodel
 from pmodel import formal, frep, gardenpath, lexicon, movement, pipeline, sstring
+from pmodel.errors import QUANTIFIER_WORDS, WH_WORDS
 from pmodel.frozen import Frozen
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pmodel"
@@ -108,6 +111,22 @@ def test_no_unreferenced_private_definitions():
 
 def test_public_definitions_are_referenced_or_exported():
     assert unexported_public_definitions(MODULES) == []
+
+
+def test_word_classes_are_one_table():
+    """The quantifier and Wh words are spelled out once, in errors.py, and no
+    function takes a `config` that could swap them for other words."""
+    words = QUANTIFIER_WORDS | WH_WORDS
+    literals: dict[str, set[str]] = {}
+    knobs = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.lower() in words:
+                literals.setdefault(path.name, set()).add(node.value.lower())
+            elif isinstance(node, ast.arg) and node.arg == "config":
+                knobs.append(f"{path.name}:{node.lineno}")
+    assert literals == {"errors.py": words}
+    assert knobs == []
 
 
 def test_formula_nodes_are_slotted_values():
@@ -213,11 +232,12 @@ def test_each_loader_and_command_loads_only_its_layers(code, allowed, unwanted):
 
 SUBMODULES = ("errors", "formal", "frep", "frozen", "gardenpath", "lexicon", "movement", "pipeline", "sstring")
 
-# the public names, as the package exported them when it imported every module eagerly
+# the public names, the ones the package exported when it imported every module
+# eagerly less the two word-class config names that errors' tables replaced
 PUBLIC_NAMES = set(
-    """And Atom BoundExceeded CloseBracket Cohort CompareReport DEFAULT_CONFIG Derivation
+    """And Atom BoundExceeded CloseBracket Cohort CompareReport Derivation
     DerivationError DerivationStep Exists Forall Force FormalDeclarants Formula FormulaSyntaxError
-    FRepresentation FRepValidationError Grammar GrammarConfig Implies IncompleteParse Indexed
+    FRepresentation FRepValidationError Grammar Implies IncompleteParse Indexed
     InvalidSString LexEntry LexicalReferent Lexicon Membership Model MovementError MovementRecord
     NoAttachment NoCandidate Not NotCanonicalizable OpenBracket Or ParseCount ParseTree Pierce
     PmodelError ProbAssertion SString Sheffer Term Trace WhQuery Word access apply_emphasis
@@ -231,7 +251,7 @@ PUBLIC_NAMES = set(
 
 
 def test_exports_are_the_public_names():
-    assert len(pmodel.__all__) == len(PUBLIC_NAMES) == 91
+    assert len(pmodel.__all__) == len(PUBLIC_NAMES) == 89
     assert set(pmodel.__all__) == PUBLIC_NAMES
 
 
@@ -262,7 +282,7 @@ def _value_samples() -> list:
     f = frep.load_frep(Path(pmodel.__file__).parent / "corpus" / "everyone-saw-someone.frep")
     report = pipeline.compare(f)
     rule, leaf = gardenpath.Rule("VP", "V", "NP"), gardenpath.ParseTree("V", word="saw")
-    entry = lexicon.LexEntry("Jones", "N", frozenset({"name"}), 40, "J")
+    entry = lexicon.LexEntry("Jones", "N", 40, "J")
     return [
         formal.Model(frozenset({"e"}), {"H": frozenset({"e"})}),
         formal.var("x"),
@@ -286,11 +306,10 @@ def _value_samples() -> list:
         gardenpath.Frame(rule, leaf),
         gardenpath.ParserState((gardenpath.Frame(rule, leaf),)),
         gardenpath.StepInfo("V", 1, 0),
-        gardenpath.StepChoice("saw", 1, "V", 1, 0, 2),
+        gardenpath.StepChoice("saw", 1, "V", 1, 0),
         entry,
         lexicon.Lexicon((entry,)),
         lexicon.Cohort("J", (entry,)),
-        movement.DEFAULT_CONFIG,
         movement.MovementRecord("quantifier_raise", 1, 3, 0),
         report,
         report.p,
@@ -338,5 +357,5 @@ def test_value_reprs_are_the_dataclass_ones():
     assert repr(frep.Force("declarative")) == "Force(mood='declarative', emphasis=None)"
     assert repr(frep.IllFormedString(("a",))) == "IllFormedString(diagnostics=('a',))"
     assert repr(lexicon.LexEntry("saw", "V")) == (
-        "LexEntry(form='saw', category='V', features=frozenset(), frequency=1, symbol=None)"
+        "LexEntry(form='saw', category='V', frequency=1, symbol=None)"
     )

@@ -155,7 +155,7 @@ def lexicons(draw):
     ):
         if (form.casefold(), category) not in seen:
             seen.add((form.casefold(), category))
-            entries.append(LexEntry(form, category, frozenset(), frequency))
+            entries.append(LexEntry(form, category, frequency))
     return Lexicon(tuple(entries))
 
 
@@ -211,7 +211,7 @@ def assert_recognize_matches_reference(lexicon, tokens, expected=None, threshold
 
 
 def _entry(form, frequency, category="N"):
-    return LexEntry(form, category, frozenset(), frequency)
+    return LexEntry(form, category, frequency)
 
 
 # Far from every token below and out of its budget; frequency 5 puts them
@@ -324,26 +324,25 @@ def test_lexicon_file_shape():
     assert len(LEXICON.entries) >= 20
     (jones,) = LEXICON.lookup("Jones")
     assert jones.symbol == "J" and jones.frequency == 40
-    assert "name" in jones.features
 
 
 def test_entry_validation():
     with pytest.raises(LexiconError):
-        LexEntry("9ball", "N", frozenset(), 1)
+        LexEntry("9ball", "N", 1)
     with pytest.raises(LexiconError):
-        LexEntry("fine", "XX", frozenset(), 1)
+        LexEntry("fine", "XX", 1)
     with pytest.raises(LexiconError):
-        LexEntry("fine", "N", frozenset(), -3)
+        LexEntry("fine", "N", -3)
     assert "Q" in CATEGORIES and "WH" in CATEGORIES
 
 
 def test_lookup_returns_every_casing_in_file_order():
     entries = (
-        LexEntry("Bank", "N", frozenset(), 3),
-        LexEntry("dog", "N", frozenset(), 9),
-        LexEntry("bank", "V", frozenset(), 3),
-        LexEntry("BANK", "P", frozenset(), 7),
-        LexEntry("banks", "N", frozenset(), 1),
+        LexEntry("Bank", "N", 3),
+        LexEntry("dog", "N", 9),
+        LexEntry("bank", "V", 3),
+        LexEntry("BANK", "P", 7),
+        LexEntry("banks", "N", 1),
     )
     lexicon = Lexicon(entries)
     assert lexicon.lookup("bAnK") == (entries[0], entries[2], entries[3])
@@ -353,10 +352,10 @@ def test_lookup_returns_every_casing_in_file_order():
 
 
 def test_duplicate_form_category_rejected():
-    e = LexEntry("dog", "N", frozenset(), 10)
+    e = LexEntry("dog", "N", 10)
     with pytest.raises(LexiconError):
-        Lexicon((e, LexEntry("Dog", "N", frozenset(), 4)))  # casefolded clash
-    Lexicon((e, LexEntry("dog", "V", frozenset(), 4)))  # category disambiguates
+        Lexicon((e, LexEntry("Dog", "N", 4)))  # casefolded clash
+    Lexicon((e, LexEntry("dog", "V", 4)))  # category disambiguates
 
 
 # ------------------------------------------------------------------ access
@@ -371,8 +370,8 @@ def test_access_prefix_cohort():
 
 
 def test_cohort_sorts_itself():
-    a = LexEntry("aa", "N", frozenset(), 2)
-    b = LexEntry("ab", "N", frozenset(), 9)
+    a = LexEntry("aa", "N", 2)
+    b = LexEntry("ab", "N", 9)
     assert Cohort("a", (a, b)).members == (b, a)
 
 

@@ -22,9 +22,9 @@ from genstrings import (
     wh_logical_forms,
     wh_surface_sentences,
 )
+from pmodel.errors import QUANTIFIER_WORDS
 from pmodel.frep import Force
 from pmodel.movement import (
-    DEFAULT_CONFIG,
     BindingViolation,
     BrokenCoindexation,
     EmphasisTargetMissing,
@@ -236,7 +236,7 @@ def find_quantifier(s: SString) -> int:
     return next(
         pos
         for pos, it in enumerate(s.items)
-        if isinstance(it, Word) and it.text.lower() in DEFAULT_CONFIG.quantifier_words
+        if isinstance(it, Word) and it.text.lower() in QUANTIFIER_WORDS
     )
 
 

@@ -16,7 +16,6 @@ from pmodel.pipeline import (
     ReadingNotAvailable,
     UnlexicalizableNode,
     compare,
-    config_for,
     delexicalize,
     derivation_to_json,
     derive_p,
@@ -131,12 +130,6 @@ def test_reading_must_come_from_the_frep():
 def test_probability_strings_cannot_be_spelled_out():
     with pytest.raises(UnlexicalizableNode):
         derive_p(PROB)
-
-
-def test_config_for_knows_the_frep_words():
-    cfg = config_for(WHO)
-    assert "who" in cfg.wh_words
-    assert "everyone" in config_for(JONES).quantifier_words
 
 
 # ------------------------------------------------------------- inversion
