@@ -41,6 +41,11 @@ FREP_VERSION = 1
 BindingConstraints = frozenset
 
 
+class FRepValueError(PmodelError, ValueError):
+    """A field holds a value outside its table (category, word, calculus,
+    mood). Also a ValueError, the type such a refusal had before."""
+
+
 class LexicalReferent(Frozen):
     __slots__ = ("symbol", "word", "category")
     symbol: str
@@ -49,12 +54,12 @@ class LexicalReferent(Frozen):
 
     def _check(self) -> None:
         if self.category not in CATEGORIES:
-            raise ValueError(f"bad category: {self.category!r}")
+            raise FRepValueError(f"bad category: {self.category!r}")
         if not all(isinstance(s, str) and s for s in (self.symbol, self.word)):
-            raise ValueError("lexical referents need a symbol and a word")
+            raise FRepValueError("lexical referents need a symbol and a word")
         words = {"Q": QUANTIFIER_WORDS, "WH": WH_WORDS}.get(self.category)
         if words is not None and self.word.lower() not in words:
-            raise ValueError(f"{self.category} word {self.word!r} is not one of: {', '.join(sorted(words))}")
+            raise FRepValueError(f"{self.category} word {self.word!r} is not one of: {', '.join(sorted(words))}")
 
 
 class FormalDeclarants(Frozen):
@@ -66,7 +71,7 @@ class FormalDeclarants(Frozen):
 
     def _check(self) -> None:
         if self.calculus not in CALCULI:
-            raise ValueError(f"bad calculus: {self.calculus!r}")
+            raise FRepValueError(f"bad calculus: {self.calculus!r}")
         object.__setattr__(self, "parameters", tuple(tuple(p) for p in self.parameters))
         if self.scope_order is not None:
             object.__setattr__(self, "scope_order", tuple(self.scope_order))
@@ -80,7 +85,7 @@ class Force(Frozen):
 
     def _check(self) -> None:
         if self.mood not in MOODS:
-            raise ValueError(f"bad mood: {self.mood!r}")
+            raise FRepValueError(f"bad mood: {self.mood!r}")
 
 
 # ------------------------------------------------------------- diagnostics

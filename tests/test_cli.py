@@ -339,3 +339,4 @@ def test_a_q_or_wh_word_outside_the_tables_is_refused_at_load(tmp_path, file, wo
         code, out, err = run_cli(*(str(tmp_path / file) if a == "{}" else a for a in command))
         assert (code, out) == (1, "")
         assert err.startswith("error:") and repr(word) in err and len(err.splitlines()) == 1
+        assert "ValueError(" not in err

@@ -13,6 +13,7 @@ import copy
 import gc
 import pickle
 import weakref
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
 
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR, run_cli
+from pmodel import gardenpath
 from pmodel.gardenpath import (
     BoundExceeded,
     Grammar,
@@ -252,6 +254,59 @@ def test_counts_take_any_length():
     assert count_parses(GRAMMAR, []) == ParseCount(0, None)
     assert not is_garden_path(GRAMMAR, LADDER)
     assert is_garden_path(GRAMMAR, "Jones knows the man in the park with the dog left".split())
+
+
+@contextmanager
+def collector(enabled: bool):
+    """Run the block with the cycle collector on or off, then restore it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_the_ladder_is_unpacked_without_a_collection():
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    with collector(True):
+        gc.collect()  # empty the young generation: nothing before the pause can start a collection
+        gc.callbacks.append(record)
+        try:
+            parses = enumerate_parses(GRAMMAR, LADDER, max_words=21)
+        finally:
+            gc.callbacks.remove(record)
+    assert len(parses) == 16796
+    assert collections == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_enumerate_restores_the_collector_state(enabled):
+    with collector(enabled):
+        enumerate_parses(GRAMMAR, PP_SENTENCE)
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_failed_unpacking_restores_the_collector_state(monkeypatch, enabled):
+    built = []
+
+    def failing_tree(*args, **kwargs):
+        if len(built) == 3:
+            raise RuntimeError("node budget spent")
+        built.append(ParseTree(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(gardenpath, "ParseTree", failing_tree)
+    with collector(enabled):
+        with pytest.raises(RuntimeError, match="node budget spent"):
+            enumerate_parses(GRAMMAR, PP_SENTENCE)
+        assert gc.isenabled() is enabled
 
 
 def test_cli_oracle_counts_a_21_word_ladder():
