@@ -31,9 +31,9 @@ _EXPORTS = {
     ),
     "frozen": (),
     "gardenpath": (
-        "BoundExceeded", "Grammar", "IncompleteParse", "NoAttachment", "ParseCount",
-        "ParseTree", "count_parses", "enumerate_parses", "is_garden_path", "load_grammar",
-        "parse_incremental", "render_tree", "step", "tree_to_dot",
+        "BoundExceeded", "Grammar", "IncompleteParse", "NoAttachment", "ParseTree",
+        "count_parses", "enumerate_parses", "is_garden_path", "load_grammar",
+        "parse_incremental", "render_tree", "step",
     ),
     "lexicon": (
         "Cohort", "LexEntry", "Lexicon", "NoCandidate", "access", "edit_distance",

@@ -133,15 +133,7 @@ def _cmd_derive_p(args, out: TextIO) -> int:
             raise pipeline.DerivationError(f"no lexical referent for emphasis word {args.emphasis!r}")
         force = frep.Force(f.force.mood, symbol)
         f = frep.build_frep(f.external, f.lexical, f.declarants, f.string, force)
-    reading = None
-    if args.reading is not None:
-        readings = frep.resolve_scope(f)
-        if not 1 <= args.reading <= len(readings):
-            raise pipeline.DerivationError(
-                f"reading {args.reading} out of range 1..{len(readings)}"
-            )
-        reading = readings[args.reading - 1]
-    d = pipeline.derive_p(f, reading)
+    d = pipeline.derive_p(f, args.reading)
     for w in d.warnings:
         print(f"warning: {w}", file=sys.stderr)
     _print_derivation(d, args.format, out)
@@ -232,11 +224,12 @@ def _cmd_gardenpath(args, out: TextIO) -> int:
             print(f"error: {failure}", file=sys.stderr)
             return 1
         return 0
-    count = gardenpath.count_parses(grammar, words)
-    out.write(f"parses: {count.parses}\n")
-    if count.parses:
-        out.write(f"minimal nodes: {count.min_nodes}\n")
-    verdict = count.parses > 0 and failure is not None
+    parses = gardenpath.count_parses(grammar, words)
+    out.write(f"parses: {parses}\n")
+    if parses:
+        # every rule is binary over words: each parse has len(words) - 1 nodes
+        out.write(f"minimal nodes: {len(words) - 1}\n")
+    verdict = parses > 0 and failure is not None
     out.write(f"garden path: {'yes' if verdict else 'no'}\n")
     return 0
 

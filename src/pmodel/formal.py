@@ -282,15 +282,15 @@ def model_to_json(m: Model) -> dict:
 
 
 def model_from_json(data: Mapping) -> Model:
-    maps = ("predicates", "relations", "event_probs")
+    maps = ("predicates", "relations", "constants", "event_probs")
     if not isinstance(data, dict) or not all(isinstance(data.get(k, {}), dict) for k in maps):
         raise ModelError("model JSON must be an object with object-valued " + ", ".join(maps))
     return Model(
-        domain=frozenset(data.get("domain", ())),
+        domain=data.get("domain", ()),
         predicates={k: frozenset(v) for k, v in data.get("predicates", {}).items()},
         relations={k: frozenset(tuple(p) for p in v) for k, v in data.get("relations", {}).items()},
-        constants=dict(data.get("constants", {})),
-        event_probs={k: Fraction(v) for k, v in data.get("event_probs", {}).items()},
+        constants=data.get("constants"),
+        event_probs=data.get("event_probs"),
     )
 
 
@@ -700,11 +700,10 @@ class WellFormedness(NamedTuple):
     diagnostics: tuple[str, ...]
 
 
-def well_formed(f: Formula, declarants=None) -> WellFormedness:
-    """Well-formedness against a declaration context.
-
-    `declarants` needs `.calculus` and `.parameters` (pairs of variable, sort
-    predicate). Returns ok plus the full diagnostic list.
+def well_formed(f: Formula, declarants) -> WellFormedness:
+    """Well-formedness against a frep.FormalDeclarants: its calculus and its
+    parameters (pairs of variable, sort predicate). Returns ok plus the full
+    diagnostic list.
     """
     nodes = list(preorder(f))
     diagnostics = [
@@ -713,18 +712,11 @@ def well_formed(f: Formula, declarants=None) -> WellFormedness:
         if isinstance(g, BINDERS) and g.variable in bound
     ]
 
-    calculus = getattr(declarants, "calculus", None)
-    declared_vars = {v for v, _ in getattr(declarants, "parameters", ()) or ()}
-    if declarants is not None:
-        for name in sorted(_names(nodes)[0] - declared_vars):
-            diagnostics.append(f"UndeclaredVariable: {name}")
-
-    has_prob = any(type(g) is ProbAssertion for g, _ in nodes)
-    has_quantifier = any(isinstance(g, BINDERS) for g, _ in nodes)
-    if calculus == "predicate" and has_prob:
+    declared_vars = {v for v, _ in declarants.parameters}
+    for name in sorted(_names(nodes)[0] - declared_vars):
+        diagnostics.append(f"UndeclaredVariable: {name}")
+    if declarants.calculus == "predicate" and any(type(g) is ProbAssertion for g, _ in nodes):
         diagnostics.append("CalculusMismatch: probability assertion under predicate calculus")
-    if calculus == "propositional" and (has_quantifier or has_prob):
-        diagnostics.append("CalculusMismatch: quantification under propositional calculus")
 
     return WellFormedness(not diagnostics, tuple(diagnostics))
 

@@ -247,7 +247,7 @@ def build_frep(external, lexical, declarants, string, force) -> FRepresentation:
 
     if diagnostics:
         raise FRepValidationError(diagnostics)
-    return FRepresentation(dict(external), lexical, declarants, string, force)
+    return FRepresentation(external, lexical, declarants, string, force)
 
 
 # ------------------------------------------------------------------- scope
@@ -325,12 +325,8 @@ def frep_from_json(data: Mapping) -> FRepresentation:
         raise FRepValidationError([f"unsupported frep_version: {version!r}"])
     declarants = FormalDeclarants(
         calculus=data["declarants"]["calculus"],
-        parameters=tuple(tuple(p) for p in data["declarants"].get("parameters", ())),
-        scope_order=(
-            tuple(data["declarants"]["scope_order"])
-            if data["declarants"].get("scope_order") is not None
-            else None
-        ),
+        parameters=data["declarants"].get("parameters", ()),
+        scope_order=data["declarants"].get("scope_order"),
     )
     lexical = tuple(
         LexicalReferent(e["symbol"], e["word"], e["category"]) for e in data.get("lexical", ())

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import gc
 import re
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import PmodelError
 from .frozen import Frozen
@@ -117,28 +117,6 @@ def render_tree(t: ParseTree) -> str:
     if t.word is not None:
         return f"({t.label} {t.word})"
     return "(" + " ".join([t.label] + [render_tree(c) for c in t.children]) + ")"
-
-
-def tree_to_dot(t: ParseTree) -> str:
-    lines = ["digraph parsetree {", "  node [shape=plaintext];"]
-    counter = [0]
-
-    def emit(node: ParseTree) -> str:
-        name = f"n{counter[0]}"
-        counter[0] += 1
-        lines.append(f'  {name} [label="{node.label}"];')
-        if node.word is not None:
-            leaf = f"n{counter[0]}"
-            counter[0] += 1
-            lines.append(f'  {leaf} [label="{node.word}", shape=box];')
-            lines.append(f"  {name} -> {leaf};")
-        for child in node.children:
-            lines.append(f"  {name} -> {emit(child)};")
-        return name
-
-    emit(t)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 class Grammar(Frozen):
@@ -262,15 +240,6 @@ class StepInfo(Frozen):
     pops: int  # constituents closed this word
 
 
-class StepChoice(Frozen):
-    __slots__ = ("word", "position", "category", "nodes", "pops")
-    word: str
-    position: int
-    category: str
-    nodes: int
-    pops: int
-
-
 def _expectation(grammar: Grammar, frames: list[Frame]) -> str:
     return frames[-1].expect if frames else grammar.start
 
@@ -329,18 +298,19 @@ def step(grammar: Grammar, state: ParserState, word: str):
     return options
 
 
-def parse_incremental(grammar: Grammar, words) -> tuple[ParseTree, tuple[StepChoice, ...]]:
+def parse_incremental(grammar: Grammar, words) -> tuple[ParseTree, tuple[StepInfo, ...]]:
     """Parse serially, committing at every word. Minimal attachment, then
-    late closure, then rule order."""
+    late closure, then rule order. Returns the tree and the chosen step of
+    each word, in word order."""
     state = ParserState()
-    trace: list[StepChoice] = []
+    trace: list[StepInfo] = []
     for position, word in enumerate(words):
         options = step(grammar, state, word)
         if not options:
             raise NoAttachment(word, position)
         best = min(range(len(options)), key=lambda k: (options[k][1].nodes, options[k][1].pops, k))
         state, info = options[best]
-        trace.append(StepChoice(word, position, info.category, info.nodes, info.pops))
+        trace.append(info)
     pend = state.pending
     frames = list(state.frames)
     if pend is not None:
@@ -350,11 +320,6 @@ def parse_incremental(grammar: Grammar, words) -> tuple[ParseTree, tuple[StepCho
     if pend is None or frames or pend.label != grammar.start:
         raise IncompleteParse(f"input ended with unmet expectations after {len(trace)} words")
     return pend, tuple(trace)
-
-
-class ParseCount(NamedTuple):
-    parses: int
-    min_nodes: Optional[int]  # fewest internal nodes over the parses; None if none
 
 
 def _recognize(grammar: Grammar, words: list[str]) -> dict:
@@ -452,11 +417,11 @@ def enumerate_parses(grammar: Grammar, words, max_words: int = 10) -> tuple[Pars
             gc.enable()
 
 
-def count_parses(grammar: Grammar, words) -> ParseCount:
+def count_parses(grammar: Grammar, words) -> int:
     """How many parses `words` has, by dynamic programming over the packed
     chart. Builds no trees, so it takes any length. Every rule has two
-    children and every leaf is a word, so each parse of n words has n - 1
-    internal nodes: that is the fewest, with no search."""
+    children and every leaf is a word, so each parse of n words has the same
+    n - 1 internal nodes: the count is all there is to report."""
     words = list(words)
     chart = _recognize(grammar, words)
     tally: dict[tuple[str, int, int], int] = {}
@@ -467,15 +432,14 @@ def count_parses(grammar: Grammar, words) -> ParseCount:
                 if backpointers is None
                 else sum(tally[(r.left, i, j)] * tally[(r.right, j, k)] for r, j in backpointers)
             )
-    parses = tally.get((grammar.start, 0, len(words)), 0)
-    return ParseCount(parses, len(words) - 1 if parses else None)
+    return tally.get((grammar.start, 0, len(words)), 0)
 
 
 def is_garden_path(grammar: Grammar, words) -> bool:
     """Grammatical, yet the serial parser chokes. Grammaticality is read
     from the packed chart, so any length is accepted."""
     words = list(words)
-    if not count_parses(grammar, words).parses:
+    if not count_parses(grammar, words):
         return False
     try:
         parse_incremental(grammar, words)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
@@ -98,14 +98,6 @@ class Lexicon(Frozen):
                 raise LexiconError(f"duplicate entry {e.form!r}/{e.category}")
             seen.add(key)
 
-    def lookup(self, form: str) -> tuple[LexEntry, ...]:
-        """Every entry spelled `form` up to case, in file order."""
-        index = self._index
-        needle = form.casefold()
-        lo = bisect_left(index.folds, needle)
-        hi = bisect_right(index.folds, needle, lo)
-        return tuple(index.ordered[r] for r in index.ranks[lo:hi])
-
     @property
     def _index(self) -> _Index:
         # Depends on the entries alone, never on a query. Built on first use
@@ -121,7 +113,7 @@ class Lexicon(Frozen):
         rank = [0] * len(entries)
         for r, i in enumerate(order):
             rank[i] = r
-        by_fold = sorted(range(len(entries)), key=folds.__getitem__)  # stable: file order
+        by_fold = sorted(range(len(entries)), key=folds.__getitem__)
         index = _Index(
             ordered=tuple(entries[i] for i in order),
             folds=[folds[i] for i in by_fold],
@@ -132,10 +124,10 @@ class Lexicon(Frozen):
 
 
 class _Index(NamedTuple):
-    """A lexicon's entries arranged for prefix and exact-form search."""
+    """A lexicon's entries arranged for prefix search."""
 
     ordered: tuple[LexEntry, ...]  # cohort order (_cohort_key)
-    folds: list[str]  # casefolded forms, sorted; equal forms in file order
+    folds: list[str]  # casefolded forms, sorted
     ranks: list[int]  # the position in `ordered` of each fold's entry
 
 
@@ -169,18 +161,16 @@ def _cohort_key(e: LexEntry):
 
 
 class Cohort(Frozen):
-    __slots__ = ("prefix", "members")
-    prefix: str
+    __slots__ = ("members",)
     members: tuple[LexEntry, ...]
 
     def _check(self) -> None:
         object.__setattr__(self, "members", tuple(sorted(self.members, key=_cohort_key)))
 
     @classmethod
-    def _ordered(cls, prefix: str, members: tuple[LexEntry, ...]) -> Cohort:
+    def _ordered(cls, members: tuple[LexEntry, ...]) -> Cohort:
         """A cohort of members already in cohort order, which it keeps as is."""
         cohort = object.__new__(cls)
-        object.__setattr__(cohort, "prefix", prefix)
         object.__setattr__(cohort, "members", members)
         return cohort
 
@@ -229,10 +219,10 @@ def access(lexicon: Lexicon, prefix: str) -> Cohort:
     index = lexicon._index
     needle = prefix.casefold()
     if not needle:
-        return Cohort._ordered(prefix, index.ordered)
+        return Cohort._ordered(index.ordered)
     lo = bisect_left(index.folds, needle)
     hi = bisect_left(index.folds, needle + _PAST_PREFIX, lo)
-    return Cohort._ordered(prefix, tuple(index.ordered[r] for r in sorted(index.ranks[lo:hi])))
+    return Cohort._ordered(tuple(index.ordered[r] for r in sorted(index.ranks[lo:hi])))
 
 
 def select(cohort: Cohort, observed: str) -> Ranked:
@@ -301,7 +291,7 @@ def _nearest(
         start, size = start + size, 2 * size
         if not band:
             continue
-        ranked = integrate(select(Cohort._ordered(cohort.prefix, band), token), expected)
+        ranked = integrate(select(Cohort._ordered(band), token), expected)
         hit = next(((e, d) for e, d in ranked if d <= _budget(len(e.form), threshold)), None)
         if hit is not None and hit[1] < best_d:
             best, best_d = hit

@@ -66,10 +66,6 @@ class UnlexicalizableNode(DerivationError):
         self.kind = kind
 
 
-class ReadingNotAvailable(DerivationError):
-    pass
-
-
 class DelexicalizeFailure(DerivationError):
     pass
 
@@ -82,17 +78,21 @@ class DerivationStep(Frozen):
 
 
 class Derivation(Frozen):
-    __slots__ = ("model", "steps", "warnings")
+    """A T derivation runs DS SS LF; a P derivation stops at SS."""
+
+    __slots__ = ("steps", "warnings")
     _defaults = {"warnings": ()}
-    model: str  # "T" | "P"
     steps: tuple[DerivationStep, ...]
     warnings: tuple[str, ...]
 
     def _check(self) -> None:
-        expected = ("DS", "SS", "LF") if self.model == "T" else ("DS", "SS")
         levels = tuple(st.sstring.level for st in self.steps)
-        if self.model not in ("T", "P") or levels != expected:
-            raise ValueError(f"bad level sequence for {self.model}: {levels}")
+        if levels not in (("DS", "SS", "LF"), ("DS", "SS")):
+            raise ValueError(f"bad level sequence: {levels}")
+
+    @property
+    def model(self) -> str:
+        return "T" if self.steps[-1].sstring.level == "LF" else "P"
 
 
 def _conjuncts(f: Formula) -> list[Formula]:
@@ -175,19 +175,20 @@ def _resolved_force(f: FRepresentation) -> Force:
     return Force(f.force.mood, f.word_of(f.force.emphasis))
 
 
-def derive_p(f: FRepresentation, reading: Optional[Formula] = None) -> Derivation:
-    """F-representation -> DS -> SS. Ambiguity is resolved to the first
+def derive_p(f: FRepresentation, reading: Optional[int] = None) -> Derivation:
+    """F-representation -> DS -> SS for the 1-based `reading` of
+    resolve_scope(f). Without one, ambiguity is resolved to the first
     reading and flagged in warnings."""
     readings = resolve_scope(f)
     warnings: tuple[str, ...] = ()
     if reading is None:
-        reading = readings[0]
+        reading = 1
         if len(readings) > 1:
             warnings = (f"scope-ambiguous: derived reading 1 of {len(readings)}",)
-    elif reading not in readings:
-        raise ReadingNotAvailable(render_formula(reading))
+    elif not 1 <= reading <= len(readings):
+        raise DerivationError(f"reading {reading} out of range 1..{len(readings)}")
     # every fronted item of the spell-out lowers, outermost first
-    ds, lower_records = _lexicalize(f, reading), []
+    ds, lower_records = _lexicalize(f, readings[reading - 1]), []
     for head in [it for it in ds.items if isinstance(it, Indexed)]:
         lower = wh_lower if head.text.lower() in WH_WORDS else quantifier_lower
         ds, record = lower(ds)
@@ -197,7 +198,7 @@ def derive_p(f: FRepresentation, reading: Optional[Formula] = None) -> Derivatio
         DerivationStep(ds, tuple(lower_records)),
         DerivationStep(ss, (emphasis_record,) if emphasis_record else ()),
     )
-    return Derivation("P", steps, warnings)
+    return Derivation(steps, warnings)
 
 
 def derive_t(ds: SString, force: Force, raise_order: Optional[tuple[str, ...]] = None) -> Derivation:
@@ -234,7 +235,7 @@ def derive_t(ds: SString, force: Force, raise_order: Optional[tuple[str, ...]] =
         DerivationStep(ss, (emphasis_record,) if emphasis_record else ()),
         DerivationStep(lf, tuple(records)),
     )
-    return Derivation("T", steps)
+    return Derivation(steps)
 
 
 # -------------------------------------------------------- delexicalization
@@ -291,25 +292,11 @@ def delexicalize(lf: SString, f: FRepresentation) -> Formula:
     else:
         raise DelexicalizeFailure("matrix is not subject-verb(-object) shaped")
 
-    sorts = dict(f.declarants.parameters)
-    guards = [
-        Membership(var(q.variable), sorts[q.variable])
-        for q in prefix
-        if not isinstance(q, WhQuery) and q.variable in sorts
-    ]
-    body = core
-    if guards:
-        # the guard came off f.string's antecedent; restore that exact shape
-        if isinstance(original_matrix, Implies) and set(
-            _conjuncts(original_matrix.left)
-        ) == set(guards):
-            body = Implies(original_matrix.left, body)
-        else:
-            acc = guards[-1]
-            for g in reversed(guards[:-1]):
-                acc = And(g, acc)
-            body = Implies(acc, body)
-    return wrap_prefix(prefix, body)
+    # lexicalization dropped f.string's antecedent exactly when it was a sort
+    # guard of this prefix; restore it as it was
+    if _strip_guard(original_matrix, prefix, dict(f.declarants.parameters)) is not original_matrix:
+        core = Implies(original_matrix.left, core)
+    return wrap_prefix(prefix, core)
 
 
 # ------------------------------------------------------------- comparison
@@ -318,18 +305,17 @@ def delexicalize(lf: SString, f: FRepresentation) -> Formula:
 class CompareReport(Frozen):
     """Both derivations of one F-representation and whether they agree.
 
-    lf_match: the T route's recovered logical form is the canonical reading,
-    and the routes agree exactly when it holds. Their DS -> SS movement is
-    not reported: both realize SS with the same apply_emphasis on the same
-    DS, so it cannot differ.
+    agreed: the T route's recovered logical form is the canonical reading.
+    Their DS -> SS movement is not reported: both realize SS with the same
+    apply_emphasis on the same DS, so it cannot differ.
     """
 
     __slots__ = (
-        "readings", "p", "t", "canonical", "recovered", "lf_match",
+        "readings", "p", "t", "canonical", "recovered", "agreed",
         "readings_matched", "formal_only", "warnings",
     )
     _defaults = {
-        "p": None, "t": None, "canonical": None, "recovered": None, "lf_match": None,
+        "p": None, "t": None, "canonical": None, "recovered": None, "agreed": False,
         "readings_matched": (), "formal_only": False, "warnings": (),
     }
     readings: tuple[Formula, ...]
@@ -337,14 +323,10 @@ class CompareReport(Frozen):
     t: Optional[Derivation]
     canonical: Optional[Formula]
     recovered: Optional[Formula]
-    lf_match: Optional[bool]
+    agreed: bool
     readings_matched: tuple[bool, ...]
     formal_only: bool
     warnings: tuple[str, ...]
-
-    @property
-    def agreed(self) -> bool:
-        return bool(self.lf_match)
 
 
 def compare(f: FRepresentation) -> CompareReport:
@@ -359,7 +341,7 @@ def compare(f: FRepresentation) -> CompareReport:
     if len(readings) > 1:
         warnings += (f"scope-ambiguous: comparing reading 1 of {len(readings)}",)
     try:
-        p = derive_p(f, readings[0])
+        p = derive_p(f, 1)
         raise_order = tuple(
             f.word_of(q.variable)
             for q in split_prefix(readings[0], BINDERS)[0]
@@ -373,7 +355,7 @@ def compare(f: FRepresentation) -> CompareReport:
 
     recovered: Optional[Formula] = None
     canonical: Optional[Formula] = None
-    lf_match: Optional[bool] = None
+    agreed = False
     matched: list[bool] = []
     try:
         recovered = delexicalize(t.steps[2].sstring, f)
@@ -384,8 +366,8 @@ def compare(f: FRepresentation) -> CompareReport:
     except NotCanonicalizable as e:
         warnings += (str(e),)
     if recovered is not None and canonical is not None:
-        lf_match = recovered == canonical
-        matched.append(lf_match)  # canonical is the first reading's canonical form
+        agreed = recovered == canonical
+        matched.append(agreed)  # canonical is the first reading's canonical form
         for r in readings[1:]:
             try:
                 matched.append(canonicalize(r) == recovered)
@@ -397,7 +379,7 @@ def compare(f: FRepresentation) -> CompareReport:
         t=t,
         canonical=canonical,
         recovered=recovered,
-        lf_match=lf_match,
+        agreed=agreed,
         readings_matched=tuple(matched),
         warnings=warnings,
     )
@@ -429,7 +411,6 @@ def report_to_json(r: CompareReport) -> dict:
         "t": derivation_to_json(r.t) if r.t else None,
         "canonical": render_formula(r.canonical) if r.canonical else None,
         "recovered": render_formula(r.recovered) if r.recovered else None,
-        "lf_match": r.lf_match,
         "readings_matched": list(r.readings_matched),
         "formal_only": r.formal_only,
         "agreed": r.agreed,

@@ -2,12 +2,17 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmodel
 from conftest import CORPUS_DIR, run_cli
 
 GOLDEN = CORPUS_DIR / "golden"
@@ -55,8 +60,9 @@ def test_malformed_model_json_exits_1(tmp_path):
         (["scope"], "top.frep", "[]"),
         (["formal", "eval", "p", "--model"], "model.json", '"x"'),
         (["formal", "eval", "p", "--model"], "model.json", '{"domain": ["e"], "predicates": []}'),
+        (["formal", "eval", "p", "--model"], "model.json", '{"domain": ["e"], "constants": null}'),
     ],
-    ids=["frep-validate-list", "scope-list", "eval-model-string", "eval-model-list-predicates"],
+    ids=["frep-validate-list", "scope-list", "eval-model-string", "eval-model-list-predicates", "eval-model-null-constants"],
 )
 def test_json_of_the_wrong_shape_exits_1_with_one_error_line(tmp_path, argv, file, content):
     (tmp_path / file).write_text(content)
@@ -73,6 +79,28 @@ def test_frep_validate_refuses_a_vacuous_binder(tmp_path):
     code, out, err = run_cli("frep", "validate", str(tmp_path / "vacuous.frep"))
     assert (code, out) == (1, "")
     assert err == "error: VacuousBinder(variable='x')\n"
+
+
+@pytest.mark.parametrize(
+    "string,declarants,error",
+    [
+        ("x in H", {"parameters": []}, "IllFormedString(diagnostics=('UndeclaredVariable: x',))"),
+        (
+            "prob(snow) = 1/2",
+            {},
+            "IllFormedString(diagnostics=('CalculusMismatch: probability assertion under predicate calculus',))",
+        ),
+        ("forall x. (x in H -> J S x)", {"scope_order": ["x", "x"]}, "ScopeOrderUnknownVariable(variable='x,x')"),
+    ],
+    ids=["undeclared-variable", "probability-under-predicate", "repeated-scope-order"],
+)
+def test_frep_validate_refuses_an_ill_formed_string_or_scope_order(tmp_path, string, declarants, error):
+    data = json.loads((CORPUS_DIR / "jones-saw-everyone.frep").read_text())
+    data["lexical"].append({"symbol": "snow", "word": "snow", "category": "N"})
+    data["declarants"].update(declarants)
+    data["string"] = string
+    (tmp_path / "bad.frep").write_text(json.dumps(data))
+    assert run_cli("frep", "validate", str(tmp_path / "bad.frep")) == (1, "", f"error: {error}\n")
 
 
 # ----------------------------------------------------------------- goldens
@@ -141,7 +169,8 @@ def test_derive_reading_selection():
     code2, out2, err2 = run_cli("derive", "p", frep, "--reading", "2")
     assert code2 == 0 and err2 == ""
     assert out != out2
-    assert run_cli("derive", "p", frep, "--reading", "3")[0] == 1
+    for n in ("3", "0"):
+        assert run_cli("derive", "p", frep, "--reading", n) == (1, "", f"error: reading {n} out of range 1..2\n")
 
 
 def test_derive_emphasis_flag():
@@ -194,6 +223,32 @@ def test_corpus_run_passes(corpus_dir):
     lines = out.splitlines()
     assert len(lines) == 33
     assert all(line.startswith("ok ") for line in lines)
+
+
+def test_packaged_corpus_runs_from_any_directory(tmp_path):
+    # no --dir: the corpus is found inside the installed package
+    src = str(Path(pmodel.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "pmodel.cli", "corpus", "run"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    lines = done.stdout.splitlines()
+    assert done.returncode == 0 and len(lines) == 33
+    assert all(line.startswith("ok ") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "case,error",
+    [
+        ("lonely", "corpus case 'lonely' has no command"),
+        ("nested\tcorpus\trun", "corpus case 'nested' may not nest corpus commands"),
+    ],
+    ids=["no-command", "nested-corpus"],
+)
+def test_corpus_run_refuses_a_malformed_cases_file(tmp_path, case, error):
+    (tmp_path / "cases.tsv").write_text(f"# one bad case\n{case}\n")
+    assert run_cli("corpus", "run", "--dir", str(tmp_path)) == (1, "", f"error: {error}\n")
 
 
 def test_corpus_diff_and_missing(tmp_path, corpus_dir):

@@ -13,7 +13,6 @@ import time
 import typing
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -52,7 +51,7 @@ from pmodel.formal import (
     var,
     well_formed,
 )
-from pmodel.frep import quantified_variables
+from pmodel.frep import FormalDeclarants, quantified_variables
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 DUMMY = Model(domain=frozenset({"e"}))
@@ -670,14 +669,10 @@ def ref_has_prob(f) -> bool:
 
 def ref_well_formed(f, declarants) -> tuple:
     out = [f"Shadowing: {v} rebound" for v, rebound in ref_binders(f) if rebound]
-    if declarants is not None:
-        declared = {v for v, _ in declarants.parameters}
-        out += [f"UndeclaredVariable: {v}" for v in sorted(ref_free_vars(f) - declared)]
-    calculus = getattr(declarants, "calculus", None)
-    if calculus == "predicate" and ref_has_prob(f):
+    declared = {v for v, _ in declarants.parameters}
+    out += [f"UndeclaredVariable: {v}" for v in sorted(ref_free_vars(f) - declared)]
+    if declarants.calculus == "predicate" and ref_has_prob(f):
         out.append("CalculusMismatch: probability assertion under predicate calculus")
-    if calculus == "propositional" and (ref_binders(f) or ref_has_prob(f)):
-        out.append("CalculusMismatch: quantification under propositional calculus")
     return tuple(out)
 
 
@@ -690,31 +685,28 @@ def test_free_and_bound_variables_match_reference(f):
 
 @given(
     fo_formulas(),
-    st.sampled_from([None, "predicate", "probability", "propositional"]),
+    st.sampled_from(["predicate", "probability"]),
     st.lists(st.tuples(VARIABLES, st.sampled_from(["H", "K"])), max_size=2),
 )
 def test_well_formed_matches_reference(f, calculus, parameters):
-    declarants = None
-    if calculus is not None:
-        declarants = SimpleNamespace(calculus=calculus, parameters=tuple(parameters))
+    declarants = FormalDeclarants(calculus, tuple(parameters))
     got = well_formed(f, declarants)
     want = ref_well_formed(f, declarants)
     assert got.diagnostics == want and got.ok == (want == ())
 
 
 def test_well_formed_diagnostics():
-    ok = well_formed(parse_formula("forall x. (x in H -> J S x)"))
+    ctx = FormalDeclarants("predicate")
+    ok = well_formed(parse_formula("forall x. (x in H -> J S x)"), ctx)
     assert ok.ok and ok.diagnostics == ()
-    ctx = SimpleNamespace(calculus="predicate", parameters=())
-    free = well_formed(parse_formula("x in H"), declarants=ctx)
+    free = well_formed(parse_formula("x in H"), ctx)
     assert not free.ok and any("UndeclaredVariable" in d for d in free.diagnostics)
-    shadow = well_formed(parse_formula("forall x. exists x. x in H"))
+    assert well_formed(parse_formula("x in H"), FormalDeclarants("predicate", (("x", "H"),))).ok
+    shadow = well_formed(parse_formula("forall x. exists x. x in H"), ctx)
     assert not shadow.ok and any("Shadowing" in d for d in shadow.diagnostics)
-    clash = well_formed(
-        ProbAssertion("snow", Fraction(1, 2)),
-        declarants=SimpleNamespace(calculus="predicate", parameters=()),
-    )
+    clash = well_formed(ProbAssertion("snow", Fraction(1, 2)), ctx)
     assert any("CalculusMismatch" in d for d in clash.diagnostics)
+    assert well_formed(ProbAssertion("snow", Fraction(1, 2)), FormalDeclarants("probability")).ok
 
 
 def test_free_vars():

@@ -30,7 +30,6 @@ from pmodel.gardenpath import (
     IncompleteParse,
     LexRule,
     NoAttachment,
-    ParseCount,
     ParserState,
     ParseTree,
     Rule,
@@ -41,7 +40,6 @@ from pmodel.gardenpath import (
     parse_incremental,
     render_tree,
     step,
-    tree_to_dot,
 )
 
 GRAMMAR = load_grammar(CORPUS_DIR / "grammar.cfg")
@@ -196,10 +194,9 @@ def test_enumerate_keeps_the_chart_order(words):
     want = reference_chart(GRAMMAR, words)
     parses = enumerate_parses(GRAMMAR, words, max_words=12)
     assert [render_tree(t) for t in parses] == want
-    count = count_parses(GRAMMAR, words)
-    assert count.parses == len(want)
-    assert count.min_nodes == (min(t.size for t in parses) if parses else None)
-    assert count.min_nodes == (len(words) - 1 if count.parses else None)
+    assert count_parses(GRAMMAR, words) == len(want)
+    # the CLI reports len(words) - 1 as the fewest nodes without a search
+    assert {t.size for t in parses} <= {len(words) - 1}
 
 
 def test_order_follows_the_grammar_not_the_cell():
@@ -249,9 +246,9 @@ LADDER = "Jones saw Jones".split() + "in Jones".split() * 9  # 21 words
 
 
 def test_counts_take_any_length():
-    assert count_parses(GRAMMAR, LADDER) == ParseCount(16796, 20)
-    assert count_parses(GRAMMAR, ["the"] * 11) == ParseCount(0, None)
-    assert count_parses(GRAMMAR, []) == ParseCount(0, None)
+    assert count_parses(GRAMMAR, LADDER) == 16796
+    assert count_parses(GRAMMAR, ["the"] * 11) == 0
+    assert count_parses(GRAMMAR, []) == 0
     assert not is_garden_path(GRAMMAR, LADDER)
     assert is_garden_path(GRAMMAR, "Jones knows the man in the park with the dog left".split())
 
@@ -330,8 +327,7 @@ def test_parse_incremental_simple():
 
 def test_step_trace_fields():
     _, steps = parse_incremental(GRAMMAR, ["the", "man", "left"])
-    first = steps[0]
-    assert (first.word, first.position, first.category) == ("the", 0, "DET")
+    assert [(s.category, s.nodes, s.pops) for s in steps] == [("DET", 1, 0), ("N", 0, 1), ("IV", 1, 1)]
 
 
 def test_no_attachment_carries_position():
@@ -440,9 +436,3 @@ def test_tree_size_counts_internal_nodes():
     assert t.size == 1
     assert t.leaves == ("Jones", "left")
 
-
-def test_tree_to_dot_smoke():
-    tree, _ = parse_incremental(GRAMMAR, ["the", "man", "left"])
-    dot = tree_to_dot(tree)
-    assert dot.startswith("digraph")
-    assert 'label="man"' in dot

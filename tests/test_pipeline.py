@@ -13,7 +13,6 @@ from pmodel.pipeline import (
     Derivation,
     DerivationError,
     DerivationStep,
-    ReadingNotAvailable,
     UnlexicalizableNode,
     compare,
     delexicalize,
@@ -115,16 +114,15 @@ def test_p_model_flags_ambiguity():
 
 
 def test_p_model_explicit_reading():
-    second = resolve_scope(AMBIG)[1]
-    d = derive_p(AMBIG, reading=second)
+    d = derive_p(AMBIG, reading=2)
     assert render(d.steps[0].sstring) == "y_1 y_2 Everyone_2 saw someone_1"
     assert d.warnings == ()
 
 
 def test_reading_must_come_from_the_frep():
-    foreign = resolve_scope(JONES)[0]
-    with pytest.raises(ReadingNotAvailable):
-        derive_p(AMBIG, reading=foreign)
+    for f, n, k in ((AMBIG, 3, 2), (AMBIG, 0, 2), (JONES, 2, 1)):
+        with pytest.raises(DerivationError, match=rf"^reading {n} out of range 1\.\.{k}$"):
+            derive_p(f, reading=n)
 
 
 def test_probability_strings_cannot_be_spelled_out():
@@ -156,7 +154,7 @@ def test_compare_full_corpus(path):
         assert any("spell out" in w for w in r.warnings)
         assert r.p is None and r.t is None
     else:
-        assert r.lf_match and r.agreed
+        assert r.agreed
         assert render_formula(r.recovered) == render_formula(r.canonical)
         # the recovered formula identifies exactly the derived reading
         assert r.readings_matched[0] and sum(r.readings_matched) == 1
@@ -237,6 +235,28 @@ def test_a_binder_with_no_trace_in_the_matrix_comes_back_formal_only(string, wor
     assert r.warnings == ("cannot spell out quantifier variable 'y' without a trace",)
 
 
+@pytest.mark.parametrize(
+    "string,variables",
+    [("forall x. x S J", "x"), ("forall x. exists y. (x in H -> x S y)", "xy")],
+    ids=["no-guard", "guard-on-one-of-two"],
+)
+def test_delexicalize_restores_only_the_guard_lexicalization_dropped(string, variables):
+    # every prefix variable has sort H, but the string guards only some of them
+    words = {"x": ("everyone", "Q"), "y": ("someone", "Q"), "H": ("human", "N"), "S": ("saw", "V"), "J": ("Jones", "N")}
+    f = frep_from_json(
+        {
+            "frep_version": 1,
+            "lexical": [{"symbol": s, "word": w, "category": c} for s, (w, c) in words.items()],
+            "declarants": {"calculus": "predicate", "parameters": [[v, "H"] for v in variables]},
+            "string": string,
+            "force": {"mood": "declarative"},
+        }
+    )
+    r = compare(f)
+    assert r.agreed and r.recovered == r.canonical
+    assert render_formula(delexicalize(r.t.steps[2].sstring, f)) == string
+
+
 def test_compare_scoped_reading():
     r = compare(SCOPED)
     assert render_formula(r.canonical) == "exists y. forall x. ((x in H & y in H) -> x S y)"
@@ -259,16 +279,17 @@ def test_derivation_json_shape():
 def test_report_json_shape():
     data = report_to_json(compare(JONES))
     assert set(data) == {
-        "readings", "p", "t", "canonical", "recovered", "lf_match",
+        "readings", "p", "t", "canonical", "recovered",
         "readings_matched", "formal_only", "agreed", "warnings",
     }
-    assert data["lf_match"] is True and data["agreed"] is True
+    assert data["agreed"] is True
     assert report_to_json(compare(PROB))["formal_only"] is True
 
 
 def test_derivation_level_sequence_is_enforced():
-    d = derive_p(JONES)
-    with pytest.raises(ValueError):
-        Derivation("T", d.steps)  # P steps lack the LF stage
-    with pytest.raises(ValueError):
-        Derivation("X", d.steps)
+    p, t = derive_p(JONES), derive_t(parse_sstring("Jones saw everyone", "DS"), DECL)
+    assert (p.model, t.model) == ("P", "T")
+    assert Derivation(t.steps).model == "T" and Derivation(p.steps).model == "P"
+    for steps in (p.steps[:1], p.steps[::-1], t.steps[1:], (), t.steps + p.steps[1:]):
+        with pytest.raises(ValueError):
+            Derivation(steps)
