@@ -19,15 +19,14 @@ _EXPORTS = {
     "errors": ("PmodelError",),
     "formal": (
         "And", "Atom", "Exists", "Forall", "Formula", "FormulaSyntaxError", "Implies",
-        "Membership", "Model", "Not", "NotCanonicalizable", "Or", "Pierce", "ProbAssertion",
-        "Sheffer", "Term", "WhQuery", "canonicalize", "evaluate", "free_vars",
-        "model_from_json", "model_to_json", "parse_formula", "render_formula", "to_sheffer",
-        "well_formed",
+        "Membership", "Model", "Not", "NotCanonicalizable", "Or", "ProbAssertion", "Sheffer",
+        "Term", "WhQuery", "canonicalize", "evaluate", "free_vars", "model_from_json",
+        "parse_formula", "render_formula", "to_sheffer", "well_formed",
     ),
     "frep": (
         "Force", "FormalDeclarants", "FRepresentation", "FRepValidationError",
         "LexicalReferent", "binding_referents", "build_frep", "frep_from_json",
-        "frep_to_json", "load_frep", "resolve_scope",
+        "load_frep", "resolve_scope",
     ),
     "frozen": (),
     "gardenpath": (

@@ -6,14 +6,14 @@ Concrete syntax, bit for bit:
     exists y. (x S y v y in H)      "v" is disjunction in connective position
     wh x. (x in H , J S x)          query operator: (restrictor , body)
     !(x in H)                       negation
-    (p |/ q)                        Sheffer stroke        (p !v q)  Pierce arrow
+    (p |/ q)                        Sheffer stroke, the one stroke connective
     prob(snow) = 4/5                exact-rational probability assertion
 
 Rendering parenthesizes every binary connective and nothing else; the
 parser additionally accepts redundant grouping parentheses. Terms are
-single identifiers: a lowercase letter with optional digits ("x", "y2")
-is a variable, anything else is a constant. A lone identifier in formula
-position ("p" above) is a propositional atom.
+single ASCII identifiers: a lowercase letter with optional digits ("x",
+"y2") is a variable, anything else is a constant. A lone identifier in
+formula position ("p" above) is a propositional atom.
 """
 
 from __future__ import annotations
@@ -191,10 +191,6 @@ class Sheffer(_Node):
     __slots__ = ("left", "right")
 
 
-class Pierce(_Node):
-    __slots__ = ("left", "right")
-
-
 class _Binder(_Node):
     __slots__ = ()
 
@@ -227,11 +223,9 @@ class ProbAssertion(_Node):
             raise ValueError(f"probability {self.p} outside [0, 1]")
 
 
-Formula = Union[
-    Atom, Membership, Not, And, Or, Implies, Sheffer, Pierce, Forall, Exists, WhQuery, ProbAssertion
-]
+Formula = Union[Atom, Membership, Not, And, Or, Implies, Sheffer, Forall, Exists, WhQuery, ProbAssertion]
 
-_BINARY = {And: "&", Or: "v", Implies: "->", Sheffer: "|/", Pierce: "!v"}
+_BINARY = {And: "&", Or: "v", Implies: "->", Sheffer: "|/"}
 _GLYPH_TO_BINARY = {g: cls for cls, g in _BINARY.items()}
 
 
@@ -271,16 +265,6 @@ class Model(Frozen):
                 raise ValueError(f"event {name!r} has probability {p} outside [0, 1]")
 
 
-def model_to_json(m: Model) -> dict:
-    return {
-        "domain": sorted(m.domain),
-        "predicates": {k: sorted(v) for k, v in sorted(m.predicates.items())},
-        "relations": {k: sorted(list(p) for p in v) for k, v in sorted(m.relations.items())},
-        "constants": dict(sorted(m.constants.items())),
-        "event_probs": {k: str(v) for k, v in sorted(m.event_probs.items())},
-    }
-
-
 def model_from_json(data: Mapping) -> Model:
     maps = ("predicates", "relations", "constants", "event_probs")
     if not isinstance(data, dict) or not all(isinstance(data.get(k, {}), dict) for k in maps):
@@ -308,7 +292,7 @@ def render_formula(f: Formula) -> str:
             return f"{subject.name} {predicate} {obj.name}"
         case Not(body):
             inner = render_formula(body)
-            if not isinstance(body, (And, Or, Implies, Sheffer, Pierce)):
+            if type(body) not in _BINARY:
                 inner = f"({inner})"
             return f"!{inner}"
         case Forall(v, body):
@@ -333,6 +317,12 @@ class _Token(NamedTuple):
     offset: int
 
 
+# ASCII only: the node checks take no other letter, int() not every digit ("²")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_DIGITS = frozenset("0123456789")
+_ALNUM = _LETTERS | _DIGITS
+
+
 def _lex(text: str) -> Iterator[_Token]:
     i, n = 0, len(text)
     while i < n:
@@ -340,23 +330,16 @@ def _lex(text: str) -> Iterator[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c in "().,=/&":
+        if c in "().,=/&!":
             yield _Token(c, c, i)
         elif text[i : i + 2] in ("->", "|/"):
             yield _Token(text[i : i + 2], text[i : i + 2], i)
             i += 2
             continue
-        elif c == "!":
-            # "!v" glued to a word boundary is the Pierce arrow, bare "!" negation
-            if text.startswith("!v", i) and (i + 2 == n or not text[i + 2].isalnum()):
-                yield _Token("!v", "!v", i)
-                i += 2
-                continue
-            yield _Token("!", c, i)
-        elif c.isalpha() or c.isdigit():
-            kind, more = ("ident", str.isalnum) if c.isalpha() else ("int", str.isdigit)
+        elif c in _ALNUM:
+            kind, more = ("ident", _ALNUM) if c in _LETTERS else ("int", _DIGITS)
             j = i + 1
-            while j < n and more(text[j]):
+            while j < n and text[j] in more:
                 j += 1
             yield _Token(kind, text[i:j], i)
             i = j
@@ -404,6 +387,13 @@ class _Parser:
             raise FormulaSyntaxError(f"{tok.text!r} is not a variable", tok.offset, ("a variable",))
         return tok.text
 
+    def integer(self, what: str) -> tuple[int, int]:
+        tok = self.expect("int", what)
+        try:
+            return int(tok.text), tok.offset
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise FormulaSyntaxError(f"number of {len(tok.text)} digits is too long", tok.offset) from None
+
     def formula(self, depth: int = 0) -> Formula:
         tok = self.peek()
         if depth > MAX_NESTING:
@@ -430,12 +420,14 @@ class _Parser:
             event = self.symbol("event")
             self.expect(")", "')'")
             self.expect("=", "'='")
-            num = self.expect("int", "a numerator")
+            num, offset = self.integer("a numerator")
             self.expect("/", "'/'")
-            den = self.expect("int", "a denominator")
-            if int(den.text) == 0:
-                raise FormulaSyntaxError("zero denominator", den.offset, ("a positive integer",))
-            return ProbAssertion(event, Fraction(int(num.text), int(den.text)))
+            den, den_offset = self.integer("a denominator")
+            if den == 0:
+                raise FormulaSyntaxError("zero denominator", den_offset, ("a positive integer",))
+            if num > den:
+                raise FormulaSyntaxError(f"probability {num}/{den} above 1", offset)
+            return ProbAssertion(event, Fraction(num, den))
         if tok.kind == "!":
             self.take()
             return Not(self.formula(depth + (self.peek().kind != "(")))
@@ -454,14 +446,11 @@ class _Parser:
 
     def binop(self):
         tok = self.peek()
-        if tok.kind in ("&", "->", "|/", "!v"):
-            return _GLYPH_TO_BINARY[self.take().text]
-        if tok.kind == "ident" and tok.text == "v":
-            self.take()
-            return Or
-        raise FormulaSyntaxError(
-            f"found {tok.text or 'end of input'!r}", tok.offset, ("')'", "a connective")
-        )
+        op = _GLYPH_TO_BINARY.get(tok.text)  # "v" lexes as an identifier
+        if op is None:
+            raise FormulaSyntaxError(f"found {tok.text or 'end of input'!r}", tok.offset, ("')'", "a connective"))
+        self.take()
+        return op
 
     def atom(self) -> Formula:
         tok = self.peek()
@@ -566,9 +555,7 @@ def evaluate(f: Formula, m: Model, assignment: Optional[Mapping[str, str]] = Non
                 return lambda: left() or right()
             if t is Implies:
                 return lambda: (not left()) or right()
-            if t is Sheffer:
-                return lambda: not (left() and right())
-            return lambda: not (left() or right())
+            return lambda: not (left() and right())
         if t is Forall or t is Exists or t is WhQuery:
             v, body = g.variable, build(g.body)
             if t is WhQuery:
@@ -727,8 +714,7 @@ def well_formed(f: Formula, declarants) -> WellFormedness:
 def to_sheffer(f: Formula) -> Formula:
     """Rewrite {not, and, or, implies} into the Sheffer stroke alone.
 
-    Quantifier structure and atoms pass through untouched; Pierce input is
-    rejected (its dual expansion is not part of this rewriting system).
+    Quantifier structure and atoms pass through untouched.
 
     Each connective and binder node keeps its rewrite, which therefore lives
     exactly as long as the node. A subterm that occurs several times in f,
@@ -757,10 +743,8 @@ def to_sheffer(f: Formula) -> Formula:
         out = Sheffer(inner, inner)
     elif t is Sheffer:
         out = Sheffer(to_sheffer(f.left), to_sheffer(f.right))
-    elif t in BINDERS:
+    else:  # a binder; children refuses anything that is not a node
         out = rebuild(f, [to_sheffer(g) for g in children(f)])
-    else:
-        raise UnsupportedNode(t.__name__)
     _set_sheffer(f, out)
     return out
 
@@ -789,7 +773,7 @@ def canonicalize(f: Formula) -> Formula:
     """Pull quantifiers into prenex-leading position, outermost first.
 
     Movement never changes a quantifier's type: a quantifier trapped under
-    negation, a Sheffer/Pierce stroke, or an implication antecedent raises
+    negation, a Sheffer stroke, or an implication antecedent raises
     NotCanonicalizable, as do moves that would capture variables or stack
     two binders of the same name. Idempotent, and equivalence-preserving on
     every (nonempty-domain) finite model.
@@ -819,7 +803,7 @@ def canonicalize(f: Formula) -> Formula:
         return wrap_prefix(pb, Implies(a, bbody))
     if t is Not and isinstance(kids[0], BINDERS):
         raise NotCanonicalizable("a quantifier cannot move out of a negation")
-    if (t is Sheffer or t is Pierce) and any(isinstance(g, BINDERS) for g in kids):
+    if t is Sheffer and any(isinstance(g, BINDERS) for g in kids):
         raise NotCanonicalizable("a quantifier cannot move across a stroke connective")
     return rebuild(f, kids)
 

@@ -28,7 +28,6 @@ from .formal import (
     children,
     parse_formula,
     preorder,
-    render_formula,
     split_prefix,
     well_formed,
     wrap_prefix,
@@ -149,7 +148,7 @@ class FRepValidationError(PmodelError):
 
 
 class FRepresentation(Frozen):
-    __slots__ = ("external", "lexical", "declarants", "string", "force")
+    __slots__ = ("external", "lexical", "declarants", "string", "force", "_readings")
     external: Mapping[str, int]
     lexical: tuple[LexicalReferent, ...]
     declarants: FormalDeclarants
@@ -295,25 +294,6 @@ def binding_referents(f: FRepresentation) -> BindingConstraints:
 
 
 # -------------------------------------------------------------------- JSON
-
-
-def frep_to_json(f: FRepresentation) -> dict:
-    return {
-        "frep_version": FREP_VERSION,
-        "external": dict(sorted(f.external.items())),
-        "lexical": [
-            {"symbol": r.symbol, "word": r.word, "category": r.category} for r in f.lexical
-        ],
-        "declarants": {
-            "calculus": f.declarants.calculus,
-            "parameters": [list(p) for p in f.declarants.parameters],
-            "scope_order": list(f.declarants.scope_order)
-            if f.declarants.scope_order is not None
-            else None,
-        },
-        "string": render_formula(f.string),
-        "force": {"mood": f.force.mood, "emphasis": f.force.emphasis},
-    }
 
 
 def frep_from_json(data: Mapping) -> FRepresentation:

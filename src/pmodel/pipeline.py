@@ -175,11 +175,18 @@ def _resolved_force(f: FRepresentation) -> Force:
     return Force(f.force.mood, f.word_of(f.force.emphasis))
 
 
+def _resolve_once(f: FRepresentation) -> tuple[Formula, ...]:
+    """resolve_scope(f), kept on f: compare and the derive_p it calls share it."""
+    if getattr(f, "_readings", None) is None:
+        FRepresentation._readings.__set__(f, resolve_scope(f))
+    return f._readings
+
+
 def derive_p(f: FRepresentation, reading: Optional[int] = None) -> Derivation:
     """F-representation -> DS -> SS for the 1-based `reading` of
     resolve_scope(f). Without one, ambiguity is resolved to the first
     reading and flagged in warnings."""
-    readings = resolve_scope(f)
+    readings = _resolve_once(f)
     warnings: tuple[str, ...] = ()
     if reading is None:
         reading = 1
@@ -336,7 +343,7 @@ def compare(f: FRepresentation) -> CompareReport:
     all other per-stage failures land in warnings rather than raising, and
     the report then does not agree.
     """
-    readings = resolve_scope(f)
+    readings = _resolve_once(f)
     warnings: tuple[str, ...] = ()
     if len(readings) > 1:
         warnings += (f"scope-ambiguous: comparing reading 1 of {len(readings)}",)

@@ -46,6 +46,20 @@ def test_deep_nesting_exits_1_with_one_error_line():
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "formula,line",
+    [
+        ("(p !v q)", "error: at offset 3: found '!' (expected ')' or a connective)"),
+        ("Ĵ S x", "error: at offset 0: unexpected character 'Ĵ'"),
+        ("prob(e) = 7/5", "error: at offset 10: probability 7/5 above 1"),
+    ],
+    ids=["second-stroke", "non-ascii-letter", "above-one"],
+)
+def test_a_refused_formula_exits_1_with_its_offset(formula, line):
+    code, out, err = run_cli("formal", "parse", formula)
+    assert (code, out, err) == (1, "", line + "\n")
+
+
 def test_malformed_model_json_exits_1(tmp_path):
     bad = tmp_path / "model.json"
     bad.write_text("{not json")

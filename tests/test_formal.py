@@ -32,19 +32,16 @@ from pmodel.formal import (
     Not,
     NotCanonicalizable,
     Or,
-    Pierce,
     ProbAssertion,
     Sheffer,
     UnboundVariable,
     UninterpretedSymbol,
-    UnsupportedNode,
     WhQuery,
     canonicalize,
     const,
     evaluate,
     free_vars,
     model_from_json,
-    model_to_json,
     parse_formula,
     render_formula,
     to_sheffer,
@@ -73,8 +70,6 @@ def tt_eval(f, env: dict[str, bool]) -> bool:
         return (not tt_eval(f.left, env)) or tt_eval(f.right, env)
     if isinstance(f, Sheffer):
         return not (tt_eval(f.left, env) and tt_eval(f.right, env))
-    if isinstance(f, Pierce):
-        return not (tt_eval(f.left, env) or tt_eval(f.right, env))
     raise TypeError(type(f).__name__)
 
 
@@ -136,7 +131,6 @@ CANONICAL = [
     "(p v q)",
     "(p -> q)",
     "(p |/ q)",
-    "(p !v q)",
     "!(p)",
     "!(!(p))",
     "J in L",
@@ -169,8 +163,36 @@ def test_redundant_parens_collapse():
     ["", "forall x.", "(p &", "p q", "prob() = 1/2", "prob(snow) = 7/5", "forall X. (p & q)"],
 )
 def test_syntax_errors(bad):
-    with pytest.raises((FormulaSyntaxError, ValueError)):
+    with pytest.raises(FormulaSyntaxError):
         parse_formula(bad)
+
+
+@pytest.mark.parametrize(
+    "text,offset",
+    [
+        ("(p !v q)", 3),  # "!" is negation only; there is no second stroke
+        ("Ĵ S x", 0),  # identifiers and numbers are ASCII
+        ("xé in H", 1),
+        ("prob(e) = ²/3", 10),
+        ("prob(e) = 7/5", 10),  # out of range, at the number
+        ("prob(e) = 1/" + "9" * 5000, 12),  # past int()'s digit limit
+    ],
+    ids=["second-stroke", "non-ascii-letter", "non-ascii-tail", "non-ascii-digit", "above-one", "long-number"],
+)
+def test_syntax_error_offsets(text, offset):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula(text)
+    assert exc.value.offset == offset
+
+
+@given(st.text() | st.text(alphabet="()!&v-|/>.,= pqxyJSHinforalexstwhb01²é"))
+@example("prob(e) = 1/" + "0" * 5000)
+def test_parse_formula_refuses_only_with_a_syntax_error(text):
+    try:
+        f = parse_formula(text)
+    except FormulaSyntaxError:
+        return
+    assert parse_formula(render_formula(f)) == f
 
 
 def test_nesting_limit():
@@ -209,7 +231,7 @@ def atoms_strategy():
     return st.sampled_from([P, Q, R])
 
 
-def prop_formulas(connectives=(Not, And, Or, Implies, Sheffer, Pierce)):
+def prop_formulas(connectives=(Not, And, Or, Implies, Sheffer)):
     def extend(kids):
         parts = [st.builds(c, kids, kids) for c in connectives if c is not Not]
         if Not in connectives:
@@ -240,7 +262,7 @@ def fo_formulas():
     def extend(kids):
         return st.one_of(
             st.builds(Not, kids),
-            *[st.builds(c, kids, kids) for c in (And, Or, Implies, Sheffer, Pierce)],
+            *[st.builds(c, kids, kids) for c in (And, Or, Implies, Sheffer)],
             st.builds(Forall, VARIABLES, kids),
             st.builds(Exists, VARIABLES, kids),
             st.builds(WhQuery, VARIABLES, kids, kids),
@@ -280,13 +302,6 @@ def test_sheffer_passes_quantifiers_through():
     g = to_sheffer(f)
     assert isinstance(g, Forall)
     assert render_formula(g) == "forall x. (x in H |/ (J S x |/ J S x))"
-
-
-def test_sheffer_rejects_pierce():
-    with pytest.raises(UnsupportedNode, match="does not accept Pierce nodes"):
-        to_sheffer(Pierce(P, Q))
-    with pytest.raises(UnsupportedNode, match="does not accept Pierce nodes"):
-        to_sheffer(And(P, Not(Pierce(P, Q))))
 
 
 def _distinct_nodes(f, seen=None) -> set[int]:
@@ -378,7 +393,6 @@ NODES = [
     Or(P, Q),
     Implies(P, Q),
     Sheffer(P, Q),
-    Pierce(P, Q),
     Forall("x", Membership(var("x"), "H")),
     Exists("y", Not(P)),
     WhQuery("x", Membership(var("x"), "H"), P),
@@ -395,9 +409,7 @@ def _positional_match(f):
             return (subject, predicate, obj)
         case Not(body):
             return (body,)
-        case And(left, right) | Or(left, right) | Implies(left, right):
-            return (left, right)
-        case Sheffer(left, right) | Pierce(left, right):
+        case And(left, right) | Or(left, right) | Implies(left, right) | Sheffer(left, right):
             return (left, right)
         case Forall(v, body) | Exists(v, body):
             return (v, body)
@@ -572,15 +584,21 @@ def test_model_validation():
         Model(domain=frozenset({"a"}), predicates={"H": frozenset({"b"})})
 
 
-def test_model_json_roundtrip():
-    m = Model(
+def test_model_from_json_reads_every_field():
+    data = {
+        "domain": ["a", "b"],
+        "predicates": {"H": ["a"]},
+        "relations": {"S": [["a", "b"]]},
+        "constants": {"J": "a"},
+        "event_probs": {"snow": "4/5"},
+    }
+    assert model_from_json(data) == Model(
         domain=frozenset({"a", "b"}),
         predicates={"H": frozenset({"a"})},
         relations={"S": frozenset({("a", "b")})},
         constants={"J": "a"},
         event_probs={"snow": Fraction(4, 5)},
     )
-    assert model_from_json(model_to_json(m)) == m
 
 
 # --------------------------------------------------------- canonicalize

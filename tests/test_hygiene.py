@@ -6,7 +6,8 @@ package exports through its table of names, not by importing them, so an
 unused import is dead weight that a rewrite can leave behind unnoticed. For
 the same reason, every module-level `_private` function or class must be
 referenced somewhere in the package outside its own definition, and every
-public one must be referenced so or be exported in `pmodel.__all__`.
+public one must be referenced so or be exported in `pmodel.__all__`; an
+export that nothing references is listed with the reason it stays.
 The quantifier and Wh words are written out in errors.py alone, and no
 function takes a `config` parameter.
 Every formula node type must be a slotted value on the shared node base,
@@ -113,6 +114,26 @@ def test_public_definitions_are_referenced_or_exported():
     assert unexported_public_definitions(MODULES) == []
 
 
+# Exported functions and classes that no module of the package references
+# outside their own definition, each with the reason it stays. A listed name
+# that gains a caller leaves the table; an export that loses its last caller
+# joins it with a reason, or is deleted.
+UNCALLED_EXPORTS = {
+    "compare": "the check that the two pipelines agree; no command runs it yet",
+    "edit_distance": "the tests' oracle for recognize",
+    "enumerate_parses": "perfbench's parse workload times it until a chart viability query replaces it",
+    "equivalent_mod_indices": "s-string equality up to index renaming, for a check of the raising route's DS",
+    "is_garden_path": "perfbench's parse workload calls it",
+    "report_to_json": "the JSON form of compare's report, for the command that will run compare",
+}
+
+
+def test_exports_that_nothing_calls_are_listed():
+    exported = set(pmodel.__all__)
+    dead = _unreferenced_definitions(MODULES, exported.__contains__)
+    assert {line.rsplit(": ", 1)[1] for line in dead} == set(UNCALLED_EXPORTS)
+
+
 def test_word_classes_are_one_table():
     """The quantifier and Wh words are spelled out once, in errors.py, and no
     function takes a `config` that could swap them for other words."""
@@ -134,7 +155,7 @@ def test_formula_nodes_are_slotted_values():
     shared node base would compare and hash by walking its formula as a tree,
     which is exponential on the shared DAGs to_sheffer returns."""
     sample = formal.parse_formula(
-        "wh x. (x in H , forall y. exists z. (!p & ((q v r) -> ((J S y |/ z in H) !v prob(e) = 1/2))))"
+        "wh x. (x in H , forall y. exists z. (!p & ((q v r) -> (J S y |/ (z in H & prob(e) = 1/2)))))"
     )
     nodes = {type(g): g for g, _ in formal.preorder(sample)}
     assert set(nodes) == set(typing.get_args(formal.Formula))
@@ -234,25 +255,27 @@ SUBMODULES = ("errors", "formal", "frep", "frozen", "gardenpath", "lexicon", "mo
 
 # the public names, the ones the package exported when it imported every module
 # eagerly less the two word-class config names that errors' tables replaced,
-# the parse-count record that an int replaced and the unused tree_to_dot
+# the parse-count record that an int replaced, the unused tree_to_dot, the
+# second stroke connective, and the frep and model JSON writers that only
+# tests called
 PUBLIC_NAMES = set(
     """And Atom BoundExceeded CloseBracket Cohort CompareReport Derivation
     DerivationError DerivationStep Exists Forall Force FormalDeclarants Formula FormulaSyntaxError
     FRepresentation FRepValidationError Grammar Implies IncompleteParse Indexed
     InvalidSString LexEntry LexicalReferent Lexicon Membership Model MovementError MovementRecord
-    NoAttachment NoCandidate Not NotCanonicalizable OpenBracket Or ParseTree Pierce
+    NoAttachment NoCandidate Not NotCanonicalizable OpenBracket Or ParseTree
     PmodelError ProbAssertion SString Sheffer Term Trace WhQuery Word access apply_emphasis
     binding_referents build_frep canonicalize compare count_parses delexicalize derive_p derive_t
     edit_distance enumerate_parses equivalent_mod_indices evaluate free_vars frep_from_json
-    frep_to_json integrate is_garden_path load_frep load_grammar load_lexicon model_from_json
-    model_to_json parse_formula parse_incremental parse_sstring quantifier_lower quantifier_raise
+    integrate is_garden_path load_frep load_grammar load_lexicon model_from_json
+    parse_formula parse_incremental parse_sstring quantifier_lower quantifier_raise
     recognize render render_formula render_tree report_to_json resolve_scope select step strip
     to_sheffer well_formed wh_lower wh_raise""".split()
 )
 
 
 def test_exports_are_the_public_names():
-    assert len(pmodel.__all__) == len(PUBLIC_NAMES) == 87
+    assert len(pmodel.__all__) == len(PUBLIC_NAMES) == 84
     assert set(pmodel.__all__) == PUBLIC_NAMES
 
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from conftest import CORPUS_DIR
+from pmodel import pipeline
 from pmodel.formal import render_formula
 from pmodel.frep import Force, FRepValidationError, frep_from_json, load_frep, resolve_scope
 from pmodel.pipeline import (
@@ -255,6 +256,19 @@ def test_delexicalize_restores_only_the_guard_lexicalization_dropped(string, var
     r = compare(f)
     assert r.agreed and r.recovered == r.canonical
     assert render_formula(delexicalize(r.t.steps[2].sstring, f)) == string
+
+
+def test_compare_resolves_scope_once(monkeypatch):
+    # compare and the derive_p it calls share one resolve_scope pass,
+    # also where the report comes back formal-only (prob-snow)
+    calls = []
+    monkeypatch.setattr(pipeline, "resolve_scope", lambda f: calls.append(f) or resolve_scope(f))
+    for path in ALL_FREPS:
+        f = load_frep(path)
+        report = compare(f)
+        assert calls == [f], path.stem
+        assert report.readings == resolve_scope(f)
+        calls.clear()
 
 
 def test_compare_scoped_reading():
