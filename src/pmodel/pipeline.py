@@ -1,13 +1,15 @@
 """The two derivation pipelines and their agreement check.
 
 T direction: a deep structure is realized (apply_emphasis) and then raised
-to logical form. P direction: a logical form is spelled straight out of the
-F-representation and lowered to deep structure, so surface structure is the
-last step and no logical-form level exists downstream. compare() runs both
-from the same F-representation and checks that the T pipeline's recovered
-logical form matches the canonicalized formal string. The two sides' DS -> SS
-movement is not compared: the T pipeline starts from the P pipeline's DS, and
-both realize SS with the same apply_emphasis, so it agrees by construction.
+to logical form. It gets only what the T-model gives it, a DS and a force,
+and reads quantifier scope off the DS's chains. P direction: a logical form
+is spelled straight out of the F-representation and lowered to deep
+structure, so surface structure is the last step and no logical-form level
+exists downstream. compare() runs both from the same F-representation and
+checks that the T pipeline's recovered logical form matches the
+canonicalized formal string. The two sides' DS -> SS movement is not
+compared: the T pipeline starts from the P pipeline's DS, and both realize
+SS with the same apply_emphasis, so it agrees by construction.
 
 Lexicalization is deterministic: quantifier prefixes become fronted indexed
 words, the matrix becomes subject-verb-object order, sort guards vanish into
@@ -208,11 +210,12 @@ def derive_p(f: FRepresentation, reading: Optional[int] = None) -> Derivation:
     return Derivation(steps, warnings)
 
 
-def derive_t(ds: SString, force: Force, raise_order: Optional[tuple[str, ...]] = None) -> Derivation:
+def derive_t(ds: SString, force: Force) -> Derivation:
     """DS -> SS -> LF. force.emphasis here names a surface word.
 
-    raise_order lists quantifier words outermost first; default is surface
-    order. Raising happens innermost first so the outermost lands leftmost.
+    Scope is read off the DS: a quantifier with a chain takes scope at its
+    trace, one without at its own position, and the leftmost is outermost.
+    Raising happens innermost first so the outermost lands leftmost.
     """
     ss, emphasis_record = apply_emphasis(ds, force)
     s = ss
@@ -220,22 +223,19 @@ def derive_t(ds: SString, force: Force, raise_order: Optional[tuple[str, ...]] =
     if any(isinstance(it, (Word, Indexed)) and it.text.lower() in WH_WORDS for it in ss.items):
         lf = wh_raise(ss)
     else:
-        if raise_order is None:
-            raise_order = tuple(
-                it.text for it in ss.items if isinstance(it, Word) and it.text.lower() in QUANTIFIER_WORDS
-            )
-        for word in reversed(raise_order):
-            wanted = word.lower()
+        scope = sorted(
+            (ds.coindex[it.index][1] if isinstance(it, Indexed) else pos, it.text.lower())
+            for pos, it in enumerate(ds.items)
+            if isinstance(it, (Word, Indexed)) and it.text.lower() in QUANTIFIER_WORDS
+        )
+        for _, word in reversed(scope):
             pos = next(
-                (p for p, it in enumerate(s.items) if isinstance(it, Word) and it.text.lower() == wanted),
+                (p for p, it in enumerate(s.items) if isinstance(it, Word) and it.text.lower() == word),
                 None,
             )
-            if pos is not None:
+            if pos is not None:  # a word that emphasis fronted already has its chain
                 s, record = quantifier_raise(s, pos)
                 records.append(record)
-            # a word that emphasis fronted already has its chain
-            elif not any(isinstance(it, Indexed) and it.text.lower() == wanted for it in s.items):
-                raise DerivationError(f"no in-situ quantifier word {word!r} to raise")
         lf = to_lf(s)
     steps = (
         DerivationStep(ds),
@@ -349,12 +349,7 @@ def compare(f: FRepresentation) -> CompareReport:
         warnings += (f"scope-ambiguous: comparing reading 1 of {len(readings)}",)
     try:
         p = derive_p(f, 1)
-        raise_order = tuple(
-            f.word_of(q.variable)
-            for q in split_prefix(readings[0], BINDERS)[0]
-            if not isinstance(q, WhQuery)
-        )
-        t = derive_t(p.steps[0].sstring, _resolved_force(f), raise_order)
+        t = derive_t(p.steps[0].sstring, _resolved_force(f))
     except UnlexicalizableNode as e:
         return CompareReport(readings=readings, formal_only=True, warnings=warnings + (str(e),))
     except (MovementError, DerivationError) as e:

@@ -36,13 +36,16 @@ from pmodel.formal import (
     Sheffer,
     UnboundVariable,
     UninterpretedSymbol,
+    UnsupportedNode,
     WhQuery,
     canonicalize,
+    children,
     const,
     evaluate,
     free_vars,
     model_from_json,
     parse_formula,
+    rebuild,
     render_formula,
     to_sheffer,
     var,
@@ -437,6 +440,16 @@ def test_node_contract(f):
 def test_node_types_are_all_covered():
     covered = {type(f) for f in NODES}
     assert covered == set(typing.get_args(Formula))
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [children, lambda f: rebuild(f, ()), lambda f: evaluate(f, DUMMY), to_sheffer, canonicalize],
+    ids=["children", "rebuild", "evaluate", "to_sheffer", "canonicalize"],
+)
+def test_a_non_node_is_refused(operation):
+    with pytest.raises(UnsupportedNode, match="does not accept object nodes"):
+        operation(object())
 
 
 def test_constructors_still_validate():

@@ -7,8 +7,17 @@ import pytest
 
 from conftest import CORPUS_DIR
 from pmodel import pipeline
-from pmodel.formal import render_formula
-from pmodel.frep import Force, FRepValidationError, frep_from_json, load_frep, resolve_scope
+from pmodel.formal import canonicalize, parse_formula, render_formula
+from pmodel.frep import (
+    Force,
+    FormalDeclarants,
+    FRepValidationError,
+    LexicalReferent,
+    build_frep,
+    frep_from_json,
+    load_frep,
+    resolve_scope,
+)
 from pmodel.pipeline import (
     CompareReport,
     Derivation,
@@ -66,18 +75,14 @@ def test_t_model_reuses_emphasis_chain():
     assert d.steps[2].movements == ()  # the chain already exists; no raise
 
 
-def test_t_model_needs_each_word_it_raises():
-    with pytest.raises(DerivationError, match="no in-situ quantifier word 'someone'"):
-        derive_t(parse_sstring("Jones saw everyone", "DS"), DECL, raise_order=("someone",))
-
-
-def test_t_model_raise_order():
-    ds = parse_sstring("Everyone saw someone", "DS")
-    surface = derive_t(ds, DECL).steps[2].sstring
-    inverted = derive_t(ds, DECL, raise_order=("someone", "everyone")).steps[2].sstring
+def test_t_model_reads_scope_off_the_ds():
+    # the y-traces list the quantifiers outermost first; without chains,
+    # surface position decides
+    inverse = derive_t(parse_sstring("y_1 y_2 everyone_2 saw someone_1", "DS"), DECL).steps[2].sstring
+    surface = derive_t(parse_sstring("Everyone saw someone", "DS"), DECL).steps[2].sstring
+    assert strip(inverse) == "Someone Everyone saw"
     assert strip(surface) == "Everyone Someone saw"
-    assert strip(inverted) == "Someone Everyone saw"
-    assert not equivalent_mod_indices(surface, inverted)
+    assert not equivalent_mod_indices(surface, inverse)
 
 
 # ---------------------------------------------------------------- P model
@@ -143,6 +148,42 @@ def test_delexicalize_recovers_the_canonical_string():
 def test_delexicalize_golden():
     lf = parse_sstring("[ Everyone_1 [ Jones saw x_1 ] ]", "LF")
     assert render_formula(delexicalize(lf, JONES)) == "forall x. (x in H -> J S x)"
+
+
+def _two_quantifier_frep(subject, obj, mood):
+    words = {"forall": ["everyone", "everybody"], "exists": ["someone", "somebody"]}
+    subject_word, object_word = words[subject].pop(), words[obj].pop()
+    return build_frep(
+        external={},
+        lexical=(
+            LexicalReferent("S", "saw", "V"),
+            LexicalReferent("H", "human", "N"),
+            LexicalReferent("x", subject_word, "Q"),
+            LexicalReferent("y", object_word, "Q"),
+        ),
+        declarants=FormalDeclarants("predicate", (("x", "H"), ("y", "H"))),
+        string=parse_formula(f"{subject} x. {obj} y. ((x in H & y in H) -> x S y)"),
+        force=Force(mood),
+    )
+
+
+ROUND_TRIP_FREPS = [
+    pytest.param(load_frep(path), id=path.stem) for path in ALL_FREPS if path.stem != "prob-snow"
+] + [
+    pytest.param(_two_quantifier_frep(subject, obj, mood), id=f"{subject}-{obj}-{mood}")
+    for subject in ("forall", "exists")
+    for obj in ("forall", "exists")
+    for mood in ("declarative", "interrogative")
+]
+
+
+@pytest.mark.parametrize("f", ROUND_TRIP_FREPS)
+def test_t_route_recovers_every_reading_from_its_ds(f):
+    # the T route gets only the DS and the force, yet recovers each reading
+    force = Force(f.force.mood, f.force.emphasis and f.word_of(f.force.emphasis))
+    for k, reading in enumerate(resolve_scope(f), start=1):
+        lf = derive_t(derive_p(f, k).steps[0].sstring, force).steps[2].sstring
+        assert delexicalize(lf, f) == canonicalize(reading), k
 
 
 # ------------------------------------------------------------- agreement

@@ -22,7 +22,7 @@ def readme_examples() -> list[tuple[str, str]]:
 
 
 def test_readme_has_examples():
-    assert len(readme_examples()) == 8
+    assert len(readme_examples()) == 9
 
 
 @pytest.mark.parametrize("command,output", readme_examples(), ids=[c for c, _ in readme_examples()])
