@@ -14,12 +14,18 @@ parser additionally accepts redundant grouping parentheses. Terms are
 single ASCII identifiers: a lowercase letter with optional digits ("x",
 "y2") is a variable, anything else is a constant. A lone identifier in
 formula position ("p" above) is a propositional atom.
+
+The parser checks the whole text with one regular expression, splits it
+into plain-string tokens with another, and descends over those; within one
+call each term name becomes one Term. It keeps no offsets: a refusal finds
+the offset of its token by scanning the text again.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import PmodelError
@@ -30,9 +36,10 @@ from .frozen import Frozen
 # a negation shares the negation's level: render_formula writes a negation
 # of a non-binary body as "!(...)", so every formula the parser accepts
 # renders to text it accepts again. The parser uses at most two interpreter
-# frames per level and the recursive functions of this module (rendering,
-# rewriting, evaluation) about one, so parsed formulas stay well inside
-# Python's default recursion limit of 1000.
+# frames per level (a negation and the parenthesis that shares its level),
+# plus a few under the deepest level, and the recursive functions of this
+# module (rendering, rewriting, evaluation) about one, so parsed formulas
+# stay well inside Python's default recursion limit of 1000.
 MAX_NESTING = 200
 
 _VARIABLE_RE = re.compile(r"[a-z][0-9]*\Z")
@@ -114,7 +121,8 @@ class _Node(Frozen):
     """A formula node. A node object may occur at several places in one
     formula or in many. Each keeps its hash and its to_sheffer rewrite once
     made, so hashing and rewriting never redo a shared subterm. Equality
-    reads kept hashes but makes none, and compares each pair of subterms once."""
+    reads kept hashes but makes none, compares leaves field by field, and
+    compares each pair of other subterms once."""
 
     __slots__ = ("_hash", "_sheffer")
 
@@ -130,6 +138,8 @@ class _Node(Frozen):
             return True
         if type(other) is not type(self):
             return NotImplemented
+        if type(self) in _LEAVES:  # no subformula: compare the fields
+            return self._astuple() == other._astuple()
         h = getattr(self, "_hash", None)
         if h is not None and h != getattr(other, "_hash", h):
             return False
@@ -141,7 +151,7 @@ class _Node(Frozen):
             if a is not b and pair not in seen:
                 seen.add(pair)
                 for x, y in zip(a._astuple(), b._astuple()):
-                    if isinstance(x, _Node) and type(y) is type(x):
+                    if type(x) is type(y) and isinstance(x, _Node) and type(x) not in _LEAVES:
                         stack.append((x, y))
                     elif x != y:
                         return False
@@ -223,6 +233,7 @@ class ProbAssertion(_Node):
             raise ValueError(f"probability {self.p} outside [0, 1]")
 
 
+_LEAVES = frozenset({Atom, Membership, ProbAssertion})
 Formula = Union[Atom, Membership, Not, And, Or, Implies, Sheffer, Forall, Exists, WhQuery, ProbAssertion]
 
 _BINARY = {And: "&", Or: "v", Implies: "->", Sheffer: "|/"}
@@ -308,104 +319,98 @@ def render_formula(f: Formula) -> str:
             return f"({render_formula(f.left)} {glyph} {render_formula(f.right)})"
 
 
-# ------------------------------------------------------------------ lexing
+# ----------------------------------------------------------------- parsing
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    offset: int
+# The text a formula may be made of. Identifiers and numbers are ASCII: the
+# node checks take no other letter, and int() not every digit ("²"). \s and
+# str.isspace take the same characters.
+_TEXT_RE = re.compile(r"(?:[\s().,=/&!A-Za-z0-9]+|->|\|/)*")
+_TOKEN_RE = re.compile(r"->|\|/|[().,=/&!]|[A-Za-z][A-Za-z0-9]*|[0-9]+")
 
 
-# ASCII only: the node checks take no other letter, int() not every digit ("²")
-_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-_DIGITS = frozenset("0123456789")
-_ALNUM = _LETTERS | _DIGITS
-
-
-def _lex(text: str) -> Iterator[_Token]:
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "().,=/&!":
-            yield _Token(c, c, i)
-        elif text[i : i + 2] in ("->", "|/"):
-            yield _Token(text[i : i + 2], text[i : i + 2], i)
-            i += 2
-            continue
-        elif c in _ALNUM:
-            kind, more = ("ident", _ALNUM) if c in _LETTERS else ("int", _DIGITS)
-            j = i + 1
-            while j < n and text[j] in more:
-                j += 1
-            yield _Token(kind, text[i:j], i)
-            i = j
-            continue
-        else:
-            raise FormulaSyntaxError(f"unexpected character {c!r}", i)
-        i += 1
-    yield _Token("eof", "", n)
+def _offset(text: str, i: int) -> int:
+    """Where the i-th token of text starts, or len(text) for the end token.
+    Only a refusal asks, so the parser keeps no offsets."""
+    match = next(islice(_TOKEN_RE.finditer(text), i, None), None)
+    return len(text) if match is None else match.start()
 
 
 class _Parser:
+    """Recursive descent over the tokens of one text. A token is its text,
+    which also tells its kind (str.isidentifier for a name, str.isdigit for
+    a number), and the end of input is the token ""."""
+
     def __init__(self, text: str):
-        self.tokens = list(_lex(text))
+        end = _TEXT_RE.match(text).end()
+        if end < len(text):
+            raise FormulaSyntaxError(f"unexpected character {text[end]!r}", end)
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text) + [""]
         self.pos = 0
+        self.terms: dict[str, Term] = {}  # one Term per name
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def refuse(self, message: str, *expected: str, at: Optional[int] = None) -> FormulaSyntaxError:
+        """The error for token `at`, the next token by default."""
+        return FormulaSyntaxError(message, _offset(self.text, self.pos if at is None else at), expected)
 
-    def take(self) -> _Token:
+    def found(self, *expected: str) -> FormulaSyntaxError:
+        return self.refuse(f"found {self.tokens[self.pos] or 'end of input'!r}", *expected)
+
+    def expect(self, token: str, what: str) -> None:
+        if self.tokens[self.pos] != token:
+            raise self.found(what)
+        self.pos += 1
+
+    def name(self, what: str) -> str:
+        """An identifier that is not a reserved word."""
         tok = self.tokens[self.pos]
+        if not tok.isidentifier():
+            raise self.found(what)
+        if tok in _RESERVED:
+            raise self.refuse(f"reserved word {tok!r}", what)
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise FormulaSyntaxError(f"found {tok.text or 'end of input'!r}", tok.offset, (what,))
-        return self.take()
-
     def term(self) -> Term:
-        tok = self.expect("ident", "a term")
-        if tok.text in _RESERVED:
-            raise FormulaSyntaxError(f"reserved word {tok.text!r}", tok.offset, ("a term",))
-        return var(tok.text) if is_variable_name(tok.text) else const(tok.text)
-
-    def symbol(self, role: str) -> str:
-        tok = self.expect("ident", f"a {role} symbol")
-        if tok.text in _RESERVED:
-            raise FormulaSyntaxError(f"reserved word {tok.text!r}", tok.offset, (f"a {role} symbol",))
-        return tok.text
+        name = self.name("a term")
+        t = self.terms.get(name)
+        if t is None:
+            t = self.terms[name] = var(name) if is_variable_name(name) else const(name)
+        return t
 
     def variable(self) -> str:
-        tok = self.expect("ident", "a variable")
-        if not is_variable_name(tok.text):
-            raise FormulaSyntaxError(f"{tok.text!r} is not a variable", tok.offset, ("a variable",))
-        return tok.text
+        tok = self.tokens[self.pos]
+        if not tok.isidentifier():
+            raise self.found("a variable")
+        if not is_variable_name(tok):
+            raise self.refuse(f"{tok!r} is not a variable", "a variable")
+        self.pos += 1
+        return tok
 
-    def integer(self, what: str) -> tuple[int, int]:
-        tok = self.expect("int", what)
+    def integer(self, what: str) -> int:
+        tok = self.tokens[self.pos]
+        if not tok.isdigit():
+            raise self.found(what)
         try:
-            return int(tok.text), tok.offset
+            n = int(tok)
         except ValueError:  # longer than sys.get_int_max_str_digits()
-            raise FormulaSyntaxError(f"number of {len(tok.text)} digits is too long", tok.offset) from None
+            raise self.refuse(f"number of {len(tok)} digits is too long") from None
+        self.pos += 1
+        return n
 
     def formula(self, depth: int = 0) -> Formula:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if depth > MAX_NESTING:
-            raise FormulaSyntaxError(f"formula nested deeper than {MAX_NESTING} levels", tok.offset)
-        if tok.kind == "ident" and tok.text in ("forall", "exists"):
-            self.take()
+            raise self.refuse(f"formula nested deeper than {MAX_NESTING} levels")
+        if tok == "forall" or tok == "exists":
+            self.pos += 1
             v = self.variable()
             self.expect(".", "'.'")
             body = self.formula(depth + 1)
-            return Forall(v, body) if tok.text == "forall" else Exists(v, body)
-        if tok.kind == "ident" and tok.text == "wh":
-            self.take()
+            return Forall(v, body) if tok == "forall" else Exists(v, body)
+        if tok == "wh":
+            self.pos += 1
             v = self.variable()
             self.expect(".", "'.'")
             self.expect("(", "'('")
@@ -414,57 +419,49 @@ class _Parser:
             body = self.formula(depth + 1)
             self.expect(")", "')'")
             return WhQuery(v, restrictor, body)
-        if tok.kind == "ident" and tok.text == "prob":
-            self.take()
+        if tok == "prob":
+            self.pos += 1
             self.expect("(", "'('")
-            event = self.symbol("event")
+            event = self.name("a event symbol")
             self.expect(")", "')'")
             self.expect("=", "'='")
-            num, offset = self.integer("a numerator")
+            at = self.pos
+            num = self.integer("a numerator")
             self.expect("/", "'/'")
-            den, den_offset = self.integer("a denominator")
+            den = self.integer("a denominator")
             if den == 0:
-                raise FormulaSyntaxError("zero denominator", den_offset, ("a positive integer",))
+                raise self.refuse("zero denominator", "a positive integer", at=self.pos - 1)
             if num > den:
-                raise FormulaSyntaxError(f"probability {num}/{den} above 1", offset)
+                raise self.refuse(f"probability {num}/{den} above 1", at=at)
             return ProbAssertion(event, Fraction(num, den))
-        if tok.kind == "!":
-            self.take()
-            return Not(self.formula(depth + (self.peek().kind != "(")))
-        if tok.kind == "(":
-            self.take()
+        if tok == "!":
+            self.pos += 1
+            return Not(self.formula(depth + (self.tokens[self.pos] != "(")))
+        if tok == "(":
+            self.pos += 1
             left = self.formula(depth + 1)
-            nxt = self.peek()
-            if nxt.kind == ")":
-                self.take()
+            if self.tokens[self.pos] == ")":
+                self.pos += 1
                 return left
-            op = self.binop()
+            op = _GLYPH_TO_BINARY.get(self.tokens[self.pos])  # "v" is an identifier
+            if op is None:
+                raise self.found("')'", "a connective")
+            self.pos += 1
             right = self.formula(depth + 1)
             self.expect(")", "')'")
             return op(left, right)
         return self.atom()
 
-    def binop(self):
-        tok = self.peek()
-        op = _GLYPH_TO_BINARY.get(tok.text)  # "v" lexes as an identifier
-        if op is None:
-            raise FormulaSyntaxError(f"found {tok.text or 'end of input'!r}", tok.offset, ("')'", "a connective"))
-        self.take()
-        return op
-
     def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise FormulaSyntaxError(
-                f"found {tok.text or 'end of input'!r}", tok.offset, ("a formula",)
-            )
+        if not self.tokens[self.pos].isidentifier():
+            raise self.found("a formula")
         subject = self.term()
-        nxt = self.peek()
-        if nxt.kind == "ident" and nxt.text == "in":
-            self.take()
-            return Membership(subject, self.symbol("predicate"))
-        if nxt.kind == "ident" and nxt.text not in _RESERVED:
-            relation = self.symbol("relation")
+        nxt = self.tokens[self.pos]
+        if nxt == "in":
+            self.pos += 1
+            return Membership(subject, self.name("a predicate symbol"))
+        if nxt.isidentifier() and nxt not in _RESERVED:
+            relation = self.name("a relation symbol")
             return Membership(subject, relation, self.term())
         return Atom(subject.name)
 
@@ -472,9 +469,9 @@ class _Parser:
 def parse_formula(text: str) -> Formula:
     parser = _Parser(text)
     f = parser.formula()
-    tail = parser.peek()
-    if tail.kind != "eof":
-        raise FormulaSyntaxError(f"trailing input {tail.text!r}", tail.offset, ("end of input",))
+    tail = parser.tokens[parser.pos]
+    if tail:
+        raise parser.refuse(f"trailing input {tail!r}", "end of input")
     return f
 
 

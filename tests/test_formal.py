@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import itertools
 import pickle
+import string
 import time
 import typing
 from dataclasses import FrozenInstanceError
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pmodel import formal
 from pmodel.formal import (
     MAX_NESTING,
     And,
@@ -227,6 +229,161 @@ def test_syntax_error_carries_offset():
     assert exc.value.offset >= 3
 
 
+# one row per place the parser refuses: the text, str(exc), .offset, .expected
+REFUSALS = [
+    pytest.param("(p - q)", "at offset 3: unexpected character '-'", 3, (), id="bare-hyphen"),
+    pytest.param("(p | q)", "at offset 3: unexpected character '|'", 3, (), id="bare-bar"),
+    pytest.param("p > q", "at offset 2: unexpected character '>'", 2, (), id="bare-angle"),
+    pytest.param("Ĵ S x", "at offset 0: unexpected character 'Ĵ'", 0, (), id="non-ascii-letter"),
+    pytest.param(
+        "J S in", "at offset 4: reserved word 'in' (expected a term)", 4, ("a term",), id="reserved-term"
+    ),
+    pytest.param(
+        "x in prob",
+        "at offset 5: reserved word 'prob' (expected a predicate symbol)",
+        5,
+        ("a predicate symbol",),
+        id="reserved-symbol",
+    ),
+    pytest.param(
+        "prob(v) = 1/2",
+        "at offset 5: reserved word 'v' (expected a event symbol)",
+        5,
+        ("a event symbol",),
+        id="reserved-event",
+    ),
+    pytest.param(
+        "forall J. x in H",
+        "at offset 7: 'J' is not a variable (expected a variable)",
+        7,
+        ("a variable",),
+        id="non-variable-binder",
+    ),
+    pytest.param(
+        "exists . x in H", "at offset 7: found '.' (expected a variable)", 7, ("a variable",), id="no-variable"
+    ),
+    pytest.param("forall x (x in H)", "at offset 9: found '(' (expected '.')", 9, ("'.'",), id="no-dot"),
+    pytest.param("wh x. x in H", "at offset 6: found 'x' (expected '(')", 6, ("'('",), id="no-open"),
+    pytest.param("wh x. (x in H)", "at offset 13: found ')' (expected ',')", 13, ("','",), id="no-comma"),
+    pytest.param("prob(e) 1/2", "at offset 8: found '1' (expected '=')", 8, ("'='",), id="no-equals"),
+    pytest.param(
+        "prob(e) = /2", "at offset 10: found '/' (expected a numerator)", 10, ("a numerator",), id="no-numerator"
+    ),
+    pytest.param(
+        "prob(e) = 1/0",
+        "at offset 12: zero denominator (expected a positive integer)",
+        12,
+        ("a positive integer",),
+        id="zero-denominator",
+    ),
+    pytest.param("prob(e) = 7/5", "at offset 10: probability 7/5 above 1", 10, (), id="above-one"),
+    pytest.param(
+        "prob(e) = 1/" + "9" * 5000, "at offset 12: number of 5000 digits is too long", 12, (), id="long-number"
+    ),
+    pytest.param(
+        "!" * (MAX_NESTING + 1) + "p", "at offset 201: formula nested deeper than 200 levels", 201, (), id="too-deep"
+    ),
+    pytest.param(
+        "(x in H x in L)",
+        "at offset 8: found 'x' (expected ')' or a connective)",
+        8,
+        ("')'", "a connective"),
+        id="no-connective",
+    ),
+    pytest.param("(p & )", "at offset 5: found ')' (expected a formula)", 5, ("a formula",), id="no-formula"),
+    pytest.param("(-> p)", "at offset 1: found '->' (expected a formula)", 1, ("a formula",), id="found-arrow"),
+    pytest.param("(p & q", "at offset 6: found 'end of input' (expected ')')", 6, ("')'",), id="no-close"),
+    pytest.param(
+        "(p & q) r",
+        "at offset 8: trailing input 'r' (expected end of input)",
+        8,
+        ("end of input",),
+        id="trailing-input",
+    ),
+    pytest.param("", "at offset 0: found 'end of input' (expected a formula)", 0, ("a formula",), id="empty"),
+    pytest.param(
+        "  ", "at offset 2: found 'end of input' (expected a formula)", 2, ("a formula",), id="whitespace-only"
+    ),
+]
+
+
+@pytest.mark.parametrize("text,message,offset,expected", REFUSALS)
+def test_each_refusal_byte_for_byte(text, message, offset, expected):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula(text)
+    assert (str(exc.value), exc.value.offset, exc.value.expected) == (message, offset, expected)
+
+
+def ref_tokens(text: str) -> tuple[list[tuple[str, int]], typing.Optional[int]]:
+    """The tokens of text as (token, offset) pairs, read one character at a
+    time and ended by ("", len(text)), and the offset of the first character
+    that neither a token nor white space takes (None if there is none)."""
+    letters = frozenset(string.ascii_letters)
+    alnum = letters | frozenset(string.digits)
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "().,=/&!":
+            tokens.append((c, i))
+            i += 1
+        elif text[i : i + 2] in ("->", "|/"):
+            tokens.append((text[i : i + 2], i))
+            i += 2
+        elif c in alnum:
+            more = alnum if c in letters else string.digits
+            j = i + 1
+            while j < n and text[j] in more:
+                j += 1
+            tokens.append((text[i:j], i))
+            i = j
+        else:
+            return tokens, i
+    tokens.append(("", n))
+    return tokens, None
+
+
+@given(st.text() | st.text(alphabet=" \x1c\x85²é-|>()!&v/.,=pqxyJSHinforalexstwhb01"))
+@example("x in H \x85-> y")
+@example("(p |/ q) -")
+def test_refusals_agree_with_a_reference_lexer(text):
+    tokens, refused_at = ref_tokens(text)
+    try:
+        parse_formula(text)
+    except FormulaSyntaxError as exc:
+        if refused_at is not None:
+            assert (str(exc), exc.offset) == (
+                f"at offset {refused_at}: unexpected character {text[refused_at]!r}",
+                refused_at,
+            )
+            return
+        at = {offset: token for token, offset in tokens}
+        assert exc.offset in at
+        if str(exc).startswith(f"at offset {exc.offset}: found "):
+            assert f"found {at[exc.offset] or 'end of input'!r}" in str(exc)
+    else:
+        assert refused_at is None
+
+
+def test_parsing_builds_one_term_per_name_and_finds_offsets_only_to_refuse(monkeypatch):
+    built, offsets = [], []
+    for name in ("var", "const"):
+        monkeypatch.setattr(formal, name, lambda n, make=getattr(formal, name): built.append(n) or make(n))
+    monkeypatch.setattr(formal, "_offset", lambda *a, find=formal._offset: offsets.append(a) or find(*a))
+    f = parse_formula("forall x. exists y. ((x in H & y in H) -> x S y)")
+    assert sorted(built) == ["x", "y"] and offsets == []
+    assert render_formula(f) == "forall x. exists y. ((x in H & y in H) -> x S y)"
+    built.clear()
+    g = parse_formula("(J S x & x S J)")
+    assert g.left.subject is g.right.obj and g.left.obj is g.right.subject
+    assert built == ["J", "x"] and offsets == []
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("(x in H x in L)")
+    assert len(offsets) == 1
+
+
 # ----------------------------------------------------------------- atoms
 
 
@@ -361,6 +518,24 @@ def test_equality_and_hash_are_linear_on_shared_dags():
     elapsed = time.perf_counter() - t0
     assert a is not b and same and same_hash and not differ
     assert elapsed < 0.5
+
+
+def test_leaves_differing_in_one_field_or_in_type_are_unequal():
+    m = Membership(var("x"), "S", const("J"))
+    assert m == Membership(var("x"), "S", const("J")) and Atom("p") == Atom("p")
+    others = [
+        Membership(var("y"), "S", const("J")),
+        Membership(var("x"), "T", const("J")),
+        Membership(var("x"), "S", const("M")),
+        Membership(var("x"), "S"),
+        Membership(const("X"), "S", const("J")),
+    ]
+    for other in others:
+        assert m != other and other != m
+        assert And(m, P) != And(other, P) and Not(other) != Not(m)
+    assert Atom("p") != Atom("q") and Atom("p") != Membership(var("p"), "H") != Atom("p")
+    assert ProbAssertion("e", Fraction(1, 2)) != ProbAssertion("e", Fraction(1, 3))
+    assert ProbAssertion("e", 1) != Atom("e") and Not(Atom("e")) != Not(ProbAssertion("e", 1))
 
 
 def test_repr_writes_each_shared_node_once():
